@@ -53,6 +53,7 @@ from .integrate import (
     PairTrajectory,
     integrate_batch,
     integrate_pair,
+    integrate_retiring,
     sample_initial,
     sign_outcome,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "exponent_scale",
     "integrate_batch",
     "integrate_pair",
+    "integrate_retiring",
     "kick_ratio",
     "quiescent_config",
     "report_json_dict",

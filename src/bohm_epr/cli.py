@@ -98,6 +98,16 @@ def _parse_int(text: str, where: str) -> int:
         raise ConfigError(f"{where}: not an integer: {text!r}") from err
 
 
+def _check_seed(seed: int, where: str) -> int:
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where} must fit in an unsigned 64-bit integer")
+    return seed
+
+
+def _parse_seed(text: str, where: str) -> int:
+    return _check_seed(_parse_int(text, where), where)
+
+
 def _parse_pair_of_angles(text: str, where: str) -> tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
@@ -184,10 +194,10 @@ def build_config(values: dict, overrides: dict | None = None,
     seed_source = "default"
     seed = DEFAULT_SEED
     if "experiment.seed" in values:
-        seed = _parse_int(values["experiment.seed"], "config key experiment.seed")
+        seed = _parse_seed(values["experiment.seed"], "config key experiment.seed")
         seed_source = "file"
     if env.get(ENV_SEED):
-        seed = _parse_int(env[ENV_SEED], f"environment variable {ENV_SEED}")
+        seed = _parse_seed(env[ENV_SEED], f"environment variable {ENV_SEED}")
         seed_source = "environment"
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
@@ -290,8 +300,12 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig | None, files: list[str],
                    command: str, provenance: dict | None = None,
-                   started: str | None = None) -> str:
-    """Write manifest.json listing every artifact of this invocation."""
+                   started: str | None = None, extra: dict | None = None) -> str:
+    """Write manifest.json listing every artifact of this invocation.
+
+    ``extra`` holds further top-level keys; they take precedence over the
+    ones derived from ``cfg``.
+    """
     manifest = {
         "tool": "bohm-epr",
         "version": __version__,
@@ -301,6 +315,7 @@ def write_manifest(out_dir: str, cfg: ExperimentConfig | None, files: list[str],
         "config_sha256": config_digest(cfg) if cfg is not None else None,
         "seed": cfg.master_seed if cfg is not None else None,
         "provenance": provenance or {},
+        **(extra or {}),
         "files": sorted(files),
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -331,9 +346,7 @@ def _load_file_values(path: str | None) -> dict:
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0 or args.seed >= 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        overrides["seed"] = args.seed
+        overrides["seed"] = _check_seed(args.seed, "--seed")
     if getattr(args, "pairs", None) is not None:
         overrides["n_pairs"] = args.pairs
     if getattr(args, "mode", None) is not None:
@@ -386,7 +399,10 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     started = _utc_now()
-    seed = args.seed if args.seed is not None else _env_or_default_seed()
+    if args.seed is not None:
+        seed, seed_source = _check_seed(args.seed, "--seed"), "flag"
+    else:
+        seed, seed_source = _env_or_default_seed()
     replicates = args.replicates
     if replicates < 1:
         raise ConfigError("--replicates must be at least 1")
@@ -440,20 +456,24 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     with open(os.path.join(out_dir, "table1.json"), "w", encoding="utf-8") as fh:
         json.dump(table_doc, fh, indent=2)
         fh.write("\n")
-    cfg_echo = ExperimentConfig(n_pairs=args.pairs, master_seed=seed,
-                                workers=args.workers)
-    write_manifest(out_dir, cfg_echo, ["table1.json", "manifest.json"],
-                   "table1", {"seed_source": "flag" if args.seed is not None else "default"},
-                   started)
+    runs = [
+        {"replicate": r, "label": row.label, "seed": row.seed,
+         "config_sha256": config_digest(row.config)}
+        for r, rows in enumerate(all_rows) for row in rows
+    ]
+    write_manifest(out_dir, None, ["table1.json", "manifest.json"], "table1",
+                   {"seed_source": seed_source}, started,
+                   extra={"seed": seed, "rows": runs})
     print(f"wrote table1.json, manifest.json in {out_dir}")
     return 0
 
 
-def _env_or_default_seed() -> int:
+def _env_or_default_seed() -> tuple[int, str]:
+    """The master seed from BOHM_EPR_SEED, else the default, with its source."""
     raw = os.environ.get(ENV_SEED)
     if raw:
-        return _parse_int(raw, f"environment variable {ENV_SEED}")
-    return DEFAULT_SEED
+        return _parse_seed(raw, f"environment variable {ENV_SEED}"), "environment"
+    return DEFAULT_SEED, "default"
 
 
 def _cmd_kick_ratio(args: argparse.Namespace) -> int:

@@ -48,7 +48,7 @@ from .infomodel import (
 )
 from .integrate import (
     IntegrationConfig,
-    integrate_batch,
+    integrate_retiring,
     sample_initial,
     sign_outcome,
 )
@@ -162,8 +162,6 @@ class ExperimentConfig:
             raise ConfigError("kick_threshold must be non-negative")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
         if not math.isfinite(self.separation) or self.separation < 0.0:
             raise ConfigError("separation must be non-negative")
         if not math.isfinite(self.source_to_magnet) or self.source_to_magnet < 0.0:
@@ -179,6 +177,8 @@ class ExperimentConfig:
                 "pair_period must cover flight plus magnet transit "
                 f"({flight + transit:.6g} s)"
             )
+        # dt against the transit, checked here so a coarse dt fails before prepare
+        IntegrationConfig(dt=self.dt, duration=transit)
         for policy_name, list_name in (
             ("switch_policy_a", "explicit_a"),
             ("switch_policy_b", "explicit_b"),
@@ -509,7 +509,9 @@ def _transport_all(
 
     Pairs whose two views coincide are integrated once; differing views
     get one system each. Systems are packed into fixed-size chunks so
-    results do not depend on how many workers split the job.
+    results do not depend on how many workers split the job. Only the
+    exit signs are needed, so each chunk goes through the retiring
+    transport.
     """
     coeff = derive_coefficients(cfg.physics)
     icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time, record_every=0)
@@ -551,7 +553,7 @@ def _transport_all(
     def work(span: tuple[int, int]):
         lo, hi = span
         try:
-            return lo, integrate_batch(
+            return lo, integrate_retiring(
                 zl[lo:hi], zr[lo:hi], s2[lo:hi], c2[lo:hi], coeff, icfg)
         except IntegrationDiverged as err:
             local = err.system_index if err.system_index is not None else 0
@@ -753,7 +755,10 @@ TABLE1_ROWS = (
 
 @dataclass(frozen=True)
 class TableRow:
-    """One summary-table row: its configuration fingerprint and estimate."""
+    """One summary-table row: its configuration fingerprint and estimate.
+
+    ``config`` is the exact configuration the row ran.
+    """
 
     label: str
     mode: InformationMode
@@ -762,6 +767,7 @@ class TableRow:
     seed: int
     bell: BellEstimate
     runtime_s: float
+    config: ExperimentConfig
 
 
 def table1_run(
@@ -802,5 +808,6 @@ def table1_run(
             seed=row_seed,
             bell=report.bell,
             runtime_s=report.runtime_s,
+            config=cfg,
         ))
     return rows

@@ -1,14 +1,20 @@
 """Fixed-step RK4 transport of particle pairs through the magnets.
 
-Two entry points share one Butcher tableau:
+Three entry points share one Butcher tableau:
 
 * ``integrate_pair`` moves a single pair, in plain scalar arithmetic,
   under the (possibly different) setting pairs each observer attributes
-  to the apparatus, and returns one trajectory per view.
+  to the apparatus, and returns one trajectory per view. Recorded
+  trajectories come from here.
 * ``integrate_batch`` moves many independent two-particle systems at
-  once as numpy arrays. It exists purely for speed; its agreement with
-  the scalar path is a regression test.
+  once as numpy arrays, for the full transit. Its agreement with the
+  scalar path is a regression test, and it is the oracle for the third.
+* ``integrate_retiring`` is the outcome-only transport of the run
+  protocol. It steps like ``integrate_batch`` but retires each system
+  as soon as its outcome is fixed and finishes it on the closed-form
+  single-branch trajectory (see its docstring for the rule).
 
+The two array paths take their steps from one private array RK4 step.
 Time is never accumulated: step i lives at t = i * dt exactly, so the
 step count, not rounding, decides where the integration ends. The state
 is checked for finiteness after every step and a non-finite value raises
@@ -24,7 +30,14 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationDiverged
 from .physconst import DerivedCoefficients
-from .velocity import SettingPair, TrajectoryState, velocity_pair, velocity_pair_batch
+from .velocity import (
+    SettingPair,
+    TrajectoryState,
+    exponent_scale,
+    ratio_pair_batch,
+    velocity_pair,
+    velocity_pair_batch,
+)
 
 _MIN_STEPS = 10
 
@@ -162,6 +175,47 @@ def integrate_pair(
     return left_view, right_view
 
 
+def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
+    arrays = tuple(np.asarray(a, dtype=float) for a in (z_l0, z_r0, s2, c2))
+    if not (arrays[0].shape == arrays[1].shape == arrays[2].shape == arrays[3].shape):
+        raise ConfigError("batch arrays must share one shape")
+    return arrays
+
+
+def _rk4_step(
+    i: int,
+    dt: float,
+    z_l: np.ndarray,
+    z_r: np.ndarray,
+    s2: np.ndarray,
+    c2: np.ndarray,
+    coeff: DerivedCoefficients,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step from t = i * dt; returns new position arrays."""
+    t = i * dt
+    th = t + 0.5 * dt
+    t1 = (i + 1) * dt
+    k1l, k1r = velocity_pair_batch(t, z_l, z_r, s2, c2, coeff)
+    k2l, k2r = velocity_pair_batch(
+        th, z_l + 0.5 * dt * k1l, z_r + 0.5 * dt * k1r, s2, c2, coeff)
+    k3l, k3r = velocity_pair_batch(
+        th, z_l + 0.5 * dt * k2l, z_r + 0.5 * dt * k2r, s2, c2, coeff)
+    k4l, k4r = velocity_pair_batch(
+        t1, z_l + dt * k3l, z_r + dt * k3r, s2, c2, coeff)
+    return (z_l + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
+            z_r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+
+
+def _check_finite(step: int, z_l: np.ndarray, z_r: np.ndarray,
+                  index: np.ndarray | None = None) -> None:
+    """Raise IntegrationDiverged naming the first non-finite system."""
+    bad = ~(np.isfinite(z_l) & np.isfinite(z_r))
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise IntegrationDiverged(
+            step=step, system_index=first if index is None else int(index[first]))
+
+
 def integrate_batch(
     z_l0: np.ndarray,
     z_r0: np.ndarray,
@@ -175,30 +229,112 @@ def integrate_batch(
     All four arrays must share one length. Each element is an independent
     two-particle system with its own setting weights.
     """
-    z_l = np.asarray(z_l0, dtype=float).copy()
-    z_r = np.asarray(z_r0, dtype=float).copy()
-    s2 = np.asarray(s2, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if not (z_l.shape == z_r.shape == s2.shape == c2.shape):
-        raise ConfigError("batch arrays must share one shape")
-    dt = cfg.dt
+    z_l, z_r, s2, c2 = _batch_arrays(z_l0, z_r0, s2, c2)
     for i in range(cfg.n_steps):
-        t = i * dt
-        th = t + 0.5 * dt
-        t1 = (i + 1) * dt
-        k1l, k1r = velocity_pair_batch(t, z_l, z_r, s2, c2, coeff)
-        k2l, k2r = velocity_pair_batch(
-            th, z_l + 0.5 * dt * k1l, z_r + 0.5 * dt * k1r, s2, c2, coeff)
-        k3l, k3r = velocity_pair_batch(
-            th, z_l + 0.5 * dt * k2l, z_r + 0.5 * dt * k2r, s2, c2, coeff)
-        k4l, k4r = velocity_pair_batch(
-            t1, z_l + dt * k3l, z_r + dt * k3r, s2, c2, coeff)
-        z_l += dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-        z_r += dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        bad_l = ~np.isfinite(z_l)
-        bad_r = ~np.isfinite(z_r)
-        if bad_l.any() or bad_r.any():
-            bad = bad_l | bad_r
-            raise IntegrationDiverged(
-                step=i + 1, system_index=int(np.argmax(bad)))
+        z_l, z_r = _rk4_step(i, cfg.dt, z_l, z_r, s2, c2, coeff)
+        _check_finite(i + 1, z_l, z_r)
     return z_l, z_r
+
+
+def _ratios(t: float, z_l, z_r, s2, c2, coeff: DerivedCoefficients):
+    """Both guidance ratios at time t, as the velocity field evaluates them."""
+    w = exponent_scale(t, coeff)
+    return ratio_pair_batch(0.5 * w * (z_l + z_r), 0.5 * w * (z_l - z_r), s2, c2)
+
+
+def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,
+                 coeff: DerivedCoefficients) -> np.ndarray:
+    """Position at t_end on the single-branch trajectory through z at t."""
+    k = coeff.spread_rate
+    lift = r * coeff.accel
+    b = (z - lift * (t * t)) / math.hypot(1.0, k * t)
+    return lift * (t_end * t_end) + b * math.hypot(1.0, k * t_end)
+
+
+def _retirements(
+    t: float,
+    t_end: float,
+    z_l: np.ndarray,
+    z_r: np.ndarray,
+    s2: np.ndarray,
+    c2: np.ndarray,
+    coeff: DerivedCoefficients,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which systems retire at t, and the closed-form exits of those that do."""
+    r_l, r_r = _ratios(t, z_l, z_r, s2, c2, coeff)
+    cand = np.flatnonzero((np.abs(r_l) == 1.0) & (np.abs(r_r) == 1.0))
+    r_l, r_r = r_l[cand], r_r[cand]
+    end_l = _branch_tail(t, t_end, z_l[cand], r_l, coeff)
+    end_r = _branch_tail(t, t_end, z_r[cand], r_r, coeff)
+    e_l, e_r = _ratios(t_end, end_l, end_r, s2[cand], c2[cand], coeff)
+    held = (e_l == r_l) & (e_r == r_r)
+    return cand[held], end_l[held], end_r[held]
+
+
+def integrate_retiring(
+    z_l0: np.ndarray,
+    z_r0: np.ndarray,
+    s2: np.ndarray,
+    c2: np.ndarray,
+    coeff: DerivedCoefficients,
+    cfg: IntegrationConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exit positions whose signs are the outcomes of ``integrate_batch``.
+
+    Takes the same arguments. Systems are stepped with the same RK4
+    step; after each step, every system whose two guidance ratios are
+    both exactly +-1 is retired, provided the closed-form endpoint gives
+    the same two ratios. A retired system's exit is read off the
+    single-branch Gaussian Bohm trajectory
+
+        z(t) = r * accel * t^2 + B * sqrt(1 + (spread_rate * t)^2),
+
+    with r its ratio and B fixed by its position at the retirement step,
+    and the remaining systems are compacted out of the working arrays.
+    The loop ends when no system is active or the transit ends. A
+    system that never retires (a field-free or very short transit) gets
+    exactly the RK4 exit ``integrate_batch`` would give it.
+
+    Why the two checks are enough: while both ratios are +-1 the law is
+    the linear ODE z' = drift(t) z + r spin_kick(t), which the formula
+    above solves exactly. Along it, the gap between the dominant
+    hyperbolic exponent (the branch with signs (r_L, r_R)) and any other
+    is (w(t) sqrt(1 + (k t)^2) / 2) * (c * accel t^2 / sqrt(1 + (k t)^2) + d)
+    with c in {2, 4} and d a constant set by B. Both
+    w(t) sqrt(1 + (k t)^2) = exp_coeff t^2 / sqrt(1 + (k t)^2) and
+    accel t^2 / sqrt(1 + (k t)^2) increase with t, so a gap that is
+    positive at retirement only widens: a ratio that is +-1 then stays
+    +-1 to the exit, and RK4 would go on integrating the same linear law
+    to the same exit up to its truncation error. The first check
+    establishes saturation at the retirement step; the second confirms
+    in floating point that the ratios still round to the same +-1 at
+    the exit, and refuses any tail that is not finite.
+
+    Divergence is checked on every active system after every step, and
+    ``IntegrationDiverged.system_index`` is the system's index in the
+    input arrays.
+    """
+    z_l, z_r, s2, c2 = _batch_arrays(z_l0, z_r0, s2, c2)
+    exit_l = np.empty_like(z_l)
+    exit_r = np.empty_like(z_r)
+    active = np.arange(z_l.size)
+    dt = cfg.dt
+    n_steps = cfg.n_steps
+    t_end = n_steps * dt
+    for i in range(n_steps):
+        if active.size == 0:
+            break
+        z_l, z_r = _rk4_step(i, dt, z_l, z_r, s2, c2, coeff)
+        _check_finite(i + 1, z_l, z_r, active)
+        if i + 1 == n_steps:
+            break
+        done, end_l, end_r = _retirements((i + 1) * dt, t_end, z_l, z_r, s2, c2, coeff)
+        if done.size:
+            exit_l[active[done]] = end_l
+            exit_r[active[done]] = end_r
+            keep = np.ones(active.size, dtype=bool)
+            keep[done] = False
+            z_l, z_r, s2, c2, active = z_l[keep], z_r[keep], s2[keep], c2[keep], active[keep]
+    exit_l[active] = z_l
+    exit_r[active] = z_r
+    return exit_l, exit_r

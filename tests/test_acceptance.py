@@ -2,7 +2,7 @@
 
 Each test prints a summary line; run with -v to get one pass/fail line
 per criterion. The replicated table in criterion 2 dominates the
-runtime (about seven minutes in total).
+runtime (about one minute on a 2-vCPU machine).
 """
 
 import math

@@ -24,7 +24,7 @@ from bohm_epr.cli import (
     parse_config,
     read_config_text,
 )
-from bohm_epr.experiment import DEFAULT_SEED
+from bohm_epr.experiment import DEFAULT_SEED, TABLE1_ROWS, derived_seed
 
 
 @pytest.fixture(autouse=True)
@@ -210,6 +210,49 @@ def test_table1_command(tmp_path, capsys):
 def test_table1_rejects_bad_replicates(tmp_path):
     assert main(["table1", "--pairs", "60", "--replicates", "0",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run-epr", "table1"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_flag_exits_2(tmp_path, capsys, command, seed):
+    code = main([command, "--seed", seed, "--pairs", "4", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-epr", "table1"])
+def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv(ENV_SEED, "-5")
+    code = main([command, "--pairs", "4", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and ENV_SEED in err
+
+
+def test_table1_manifest_records_each_row(tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_SEED, "2024")
+    out = tmp_path / "table"
+    assert main(["table1", "--pairs", "200", "--replicates", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 2024
+    assert manifest["provenance"]["seed_source"] == "environment"
+    assert manifest["files"] == ["manifest.json", "table1.json"]
+    expected = []
+    for replicate in range(2):
+        for label, mode, efficiency, normalization, key in TABLE1_ROWS:
+            inefficient = efficiency is Efficiency.INEFFICIENT
+            cfg = ExperimentConfig(
+                n_pairs=200, mode=mode, efficiency=efficiency,
+                normalization=normalization,
+                kick_threshold=0.0 if inefficient else 1.0e-3,
+                master_seed=derived_seed(2024, replicate, key))
+            expected.append({"replicate": replicate, "label": label,
+                             "seed": cfg.master_seed,
+                             "config_sha256": config_digest(cfg)})
+    assert manifest["rows"] == expected
+    assert len({row["config_sha256"] for row in expected}) == 8
+    table = json.loads((out / "table1.json").read_text())
+    assert [row["seed"] for row in table["rows"]] == [r["seed"] for r in expected[:4]]
 
 
 def test_hooke_demo_all_couplings(tmp_path, capsys):

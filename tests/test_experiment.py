@@ -128,6 +128,14 @@ def test_experiment_config_validation():
         ExperimentConfig(master_seed=-1)
 
 
+def test_coarse_dt_rejected_at_construction():
+    # 3 ms transit at dt = 1 ms is 3 steps; refused before any pair is prepared
+    with pytest.raises(ConfigError, match="fewer than 10 steps"):
+        ExperimentConfig(dt=1.0e-3, n_pairs=20000)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dt=1.0e-2)
+
+
 def test_pair_streams_are_reproducible_and_distinct():
     a1 = pair_stream(7, 3).integers(0, 2**32, size=4)
     a2 = pair_stream(7, 3).integers(0, 2**32, size=4)
