@@ -521,25 +521,26 @@ def _transport_all(
     sys_s2: list[float] = []
     sys_c2: list[float] = []
     sys_pair: list[int] = []
+    sys_view: list[str] = []
     a_sys = np.empty(len(prepared), dtype=np.int64)
     b_sys = np.empty(len(prepared), dtype=np.int64)
 
-    def add_system(pair: PreparedPair, settings: SettingPair) -> int:
+    def add_system(pair: PreparedPair, settings: SettingPair, view: str) -> int:
         s2, c2 = settings.weights()
         sys_zl.append(pair.z_l0)
         sys_zr.append(pair.z_r0)
         sys_s2.append(s2)
         sys_c2.append(c2)
         sys_pair.append(pair.pair_id)
+        sys_view.append(view)
         return len(sys_zl) - 1
 
     for j, pair in enumerate(prepared):
-        idx_a = add_system(pair, pair.seen_by_a)
-        a_sys[j] = idx_a
         if pair.seen_by_b == pair.seen_by_a:
-            b_sys[j] = idx_a
+            a_sys[j] = b_sys[j] = add_system(pair, pair.seen_by_a, "A and B")
         else:
-            b_sys[j] = add_system(pair, pair.seen_by_b)
+            a_sys[j] = add_system(pair, pair.seen_by_a, "A")
+            b_sys[j] = add_system(pair, pair.seen_by_b, "B")
 
     zl = np.asarray(sys_zl)
     zr = np.asarray(sys_zr)
@@ -560,7 +561,8 @@ def _transport_all(
             raise IntegrationDiverged(
                 step=err.step,
                 system_index=lo + local,
-                detail=f"pair {sys_pair[lo + local]}",
+                detail=(f"pair {sys_pair[lo + local]}, view {sys_view[lo + local]}, "
+                        f"{cfg.mode.value} mode"),
             ) from err
 
     if cfg.workers <= 1 or len(spans) <= 1:

@@ -33,8 +33,8 @@ from .physconst import DerivedCoefficients
 from .velocity import (
     SettingPair,
     TrajectoryState,
-    exponent_scale,
-    ratio_pair_batch,
+    ratio_pair_at,
+    velocity_from_ratios,
     velocity_pair,
     velocity_pair_batch,
 )
@@ -179,6 +179,12 @@ def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
     arrays = tuple(np.asarray(a, dtype=float) for a in (z_l0, z_r0, s2, c2))
     if not (arrays[0].shape == arrays[1].shape == arrays[2].shape == arrays[3].shape):
         raise ConfigError("batch arrays must share one shape")
+    s2, c2 = arrays[2], arrays[3]
+    # the rule stable_ratio applies to scalar weights (NaN fails every test)
+    if not (np.all((s2 >= 0.0) & (s2 <= 1.0)) and np.all((c2 >= 0.0) & (c2 <= 1.0))):
+        raise ConfigError("weights must lie in [0, 1]")
+    if np.any(s2 + c2 <= 0.0):
+        raise ConfigError("weights must not both vanish")
     return arrays
 
 
@@ -190,12 +196,17 @@ def _rk4_step(
     s2: np.ndarray,
     c2: np.ndarray,
     coeff: DerivedCoefficients,
+    k1: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step from t = i * dt; returns new position arrays."""
+    """One classical RK4 step from t = i * dt; returns new position arrays.
+
+    ``k1``, when given, is the velocity at the start of the step, already
+    evaluated by the caller.
+    """
     t = i * dt
     th = t + 0.5 * dt
     t1 = (i + 1) * dt
-    k1l, k1r = velocity_pair_batch(t, z_l, z_r, s2, c2, coeff)
+    k1l, k1r = velocity_pair_batch(t, z_l, z_r, s2, c2, coeff) if k1 is None else k1
     k2l, k2r = velocity_pair_batch(
         th, z_l + 0.5 * dt * k1l, z_r + 0.5 * dt * k1r, s2, c2, coeff)
     k3l, k3r = velocity_pair_batch(
@@ -236,12 +247,6 @@ def integrate_batch(
     return z_l, z_r
 
 
-def _ratios(t: float, z_l, z_r, s2, c2, coeff: DerivedCoefficients):
-    """Both guidance ratios at time t, as the velocity field evaluates them."""
-    w = exponent_scale(t, coeff)
-    return ratio_pair_batch(0.5 * w * (z_l + z_r), 0.5 * w * (z_l - z_r), s2, c2)
-
-
 def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,
                  coeff: DerivedCoefficients) -> np.ndarray:
     """Position at t_end on the single-branch trajectory through z at t."""
@@ -256,17 +261,21 @@ def _retirements(
     t_end: float,
     z_l: np.ndarray,
     z_r: np.ndarray,
+    r_l: np.ndarray,
+    r_r: np.ndarray,
     s2: np.ndarray,
     c2: np.ndarray,
     coeff: DerivedCoefficients,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which systems retire at t, and the closed-form exits of those that do."""
-    r_l, r_r = _ratios(t, z_l, z_r, s2, c2, coeff)
+    """Which systems retire at t, given their ratios r_l, r_r there, and
+    the closed-form exits of those that do."""
     cand = np.flatnonzero((np.abs(r_l) == 1.0) & (np.abs(r_r) == 1.0))
+    if cand.size == 0:
+        return cand, z_l[cand], z_r[cand]
     r_l, r_r = r_l[cand], r_r[cand]
     end_l = _branch_tail(t, t_end, z_l[cand], r_l, coeff)
     end_r = _branch_tail(t, t_end, z_r[cand], r_r, coeff)
-    e_l, e_r = _ratios(t_end, end_l, end_r, s2[cand], c2[cand], coeff)
+    e_l, e_r = ratio_pair_at(t_end, end_l, end_r, s2[cand], c2[cand], coeff)
     held = (e_l == r_l) & (e_r == r_r)
     return cand[held], end_l[held], end_r[held]
 
@@ -282,10 +291,12 @@ def integrate_retiring(
     """Exit positions whose signs are the outcomes of ``integrate_batch``.
 
     Takes the same arguments. Systems are stepped with the same RK4
-    step; after each step, every system whose two guidance ratios are
-    both exactly +-1 is retired, provided the closed-form endpoint gives
-    the same two ratios. A retired system's exit is read off the
-    single-branch Gaussian Bohm trajectory
+    step. Each step starts with one evaluation of the guidance ratios,
+    which the retirement test reads and the first RK4 stage reuses:
+    every system whose two ratios are both exactly +-1 there is retired,
+    provided the closed-form endpoint gives the same two ratios. A
+    retired system's exit is read off the single-branch Gaussian Bohm
+    trajectory
 
         z(t) = r * accel * t^2 + B * sqrt(1 + (spread_rate * t)^2),
 
@@ -322,19 +333,21 @@ def integrate_retiring(
     n_steps = cfg.n_steps
     t_end = n_steps * dt
     for i in range(n_steps):
-        if active.size == 0:
-            break
-        z_l, z_r = _rk4_step(i, dt, z_l, z_r, s2, c2, coeff)
-        _check_finite(i + 1, z_l, z_r, active)
-        if i + 1 == n_steps:
-            break
-        done, end_l, end_r = _retirements((i + 1) * dt, t_end, z_l, z_r, s2, c2, coeff)
+        t = i * dt
+        r_l, r_r = ratio_pair_at(t, z_l, z_r, s2, c2, coeff)
+        done, end_l, end_r = _retirements(t, t_end, z_l, z_r, r_l, r_r, s2, c2, coeff)
         if done.size:
             exit_l[active[done]] = end_l
             exit_r[active[done]] = end_r
             keep = np.ones(active.size, dtype=bool)
             keep[done] = False
-            z_l, z_r, s2, c2, active = z_l[keep], z_r[keep], s2[keep], c2[keep], active[keep]
+            z_l, z_r, r_l, r_r, s2, c2, active = (
+                a[keep] for a in (z_l, z_r, r_l, r_r, s2, c2, active))
+        if active.size == 0:
+            break
+        k1 = velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)
+        z_l, z_r = _rk4_step(i, dt, z_l, z_r, s2, c2, coeff, k1)
+        _check_finite(i + 1, z_l, z_r, active)
     exit_l[active] = z_l
     exit_r[active] = z_r
     return exit_l, exit_r

@@ -28,7 +28,10 @@ formula is used (it is exquisitely accurate for small arguments, which
 the aligned-analyzer reduction tests rely on); above it the numerator and
 denominator are factored by the dominant exponential among the terms with
 non-zero weight, which keeps every intermediate bounded. The result is
-clamped to [-1, 1], the mathematical range of both ratios.
+clamped to [-1, 1], the mathematical range of both ratios. In the
+array kernel ``ratio_pair_batch`` each element evaluates only its own
+branch, so a batch pays for the factored branch only on the elements
+past the limit.
 
 For exactly aligned analyzers (s2 == 0) the law collapses to
 
@@ -190,6 +193,26 @@ def aligned_velocity_pair(
     return drift * state.z_l + spin_kick * tanh_v, drift * state.z_r - spin_kick * tanh_v
 
 
+def _direct_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
+    """The plain sinh/cosh formula; only for max(|u|, |v|) <= _DIRECT_LIMIT."""
+    su = s2 * np.sinh(u)
+    cv = c2 * np.sinh(v)
+    den = s2 * np.cosh(u) + c2 * np.cosh(v)
+    return (su + cv) / den, (su - cv) / den
+
+
+def _factored_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios with the dominant weighted exponential factored out."""
+    m = np.maximum(np.where(s2 > 0.0, np.abs(u), -np.inf),
+                   np.where(c2 > 0.0, np.abs(v), -np.inf))
+    eu = s2 * np.exp(np.minimum(u - m, 0.0))
+    enu = s2 * np.exp(np.minimum(-u - m, 0.0))
+    ev = c2 * np.exp(np.minimum(v - m, 0.0))
+    env = c2 * np.exp(np.minimum(-v - m, 0.0))
+    den = (eu + enu) + (ev + env)
+    return ((eu - enu) + (ev - env)) / den, ((eu - enu) - (ev - env)) / den
+
+
 def ratio_pair_batch(
     u: np.ndarray,
     v: np.ndarray,
@@ -198,36 +221,55 @@ def ratio_pair_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized twin of the scalar ratio evaluation.
 
-    Same two-branch scheme as ``stable_ratio``; element order in the input
-    arrays does not affect any element's value.
+    Each element takes the branch ``stable_ratio`` would take and only
+    that branch is evaluated for it: a batch that is all direct or all
+    factored runs one branch on the whole arrays, a mixed batch runs
+    each branch on its own subset. Element order in the input arrays
+    does not affect any element's value.
     """
-    biggest = np.maximum(np.abs(u), np.abs(v))
-    small = biggest <= _DIRECT_LIMIT
-
-    uc = np.clip(u, -_DIRECT_LIMIT, _DIRECT_LIMIT)
-    vc = np.clip(v, -_DIRECT_LIMIT, _DIRECT_LIMIT)
-    su = s2 * np.sinh(uc)
-    cv = c2 * np.sinh(vc)
-    den_s = s2 * np.cosh(uc) + c2 * np.cosh(vc)
-    num_l_s = su + cv
-    num_r_s = su - cv
-
-    m_u = np.where(s2 > 0.0, np.abs(u), -np.inf)
-    m_v = np.where(c2 > 0.0, np.abs(v), -np.inf)
-    m = np.maximum(m_u, m_v)
-    zero = np.zeros_like(m)
-    eu = s2 * np.exp(np.minimum(u - m, zero))
-    enu = s2 * np.exp(np.minimum(-u - m, zero))
-    ev = c2 * np.exp(np.minimum(v - m, zero))
-    env = c2 * np.exp(np.minimum(-v - m, zero))
-    den_l = (eu + enu) + (ev + env)
-    num_l_l = (eu - enu) + (ev - env)
-    num_r_l = (eu - enu) - (ev - env)
-
-    den = np.where(small, den_s, den_l)
-    rl = np.where(small, num_l_s, num_l_l) / den
-    rr = np.where(small, num_r_s, num_r_l) / den
+    small = np.maximum(np.abs(u), np.abs(v)) <= _DIRECT_LIMIT
+    if small.all():
+        rl, rr = _direct_ratios(u, v, s2, c2)
+    elif not small.any():
+        rl, rr = _factored_ratios(u, v, s2, c2)
+    else:
+        u, v, s2, c2 = np.broadcast_arrays(u, v, s2, c2)
+        rl = np.empty(small.shape)
+        rr = np.empty(small.shape)
+        large = ~small
+        rl[small], rr[small] = _direct_ratios(u[small], v[small], s2[small], c2[small])
+        rl[large], rr[large] = _factored_ratios(u[large], v[large], s2[large], c2[large])
     return np.clip(rl, -1.0, 1.0), np.clip(rr, -1.0, 1.0)
+
+
+def ratio_pair_at(
+    t: float,
+    z_l: np.ndarray,
+    z_r: np.ndarray,
+    s2: np.ndarray,
+    c2: np.ndarray,
+    coeff: DerivedCoefficients,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both guidance ratios of many independent systems at time t."""
+    w = exponent_scale(t, coeff)
+    return ratio_pair_batch(0.5 * w * (z_l + z_r), 0.5 * w * (z_l - z_r), s2, c2)
+
+
+def velocity_from_ratios(
+    t: float,
+    z_l: np.ndarray,
+    z_r: np.ndarray,
+    r_l: np.ndarray,
+    r_r: np.ndarray,
+    coeff: DerivedCoefficients,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Velocities of many systems at time t, given their guidance ratios."""
+    kt = coeff.spread_rate * t
+    kt2 = kt * kt
+    denom = 1.0 + kt2
+    drift = coeff.spread_rate * kt / denom
+    spin_kick = coeff.accel * t * (2.0 - kt2 / denom)
+    return drift * z_l + r_l * spin_kick, drift * z_r + r_r * spin_kick
 
 
 def velocity_pair_batch(
@@ -239,13 +281,5 @@ def velocity_pair_batch(
     coeff: DerivedCoefficients,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized twin of ``velocity_pair`` over many independent systems."""
-    kt = coeff.spread_rate * t
-    kt2 = kt * kt
-    denom = 1.0 + kt2
-    w = coeff.exp_coeff * t * t / denom
-    u = 0.5 * w * (z_l + z_r)
-    v = 0.5 * w * (z_l - z_r)
-    rl, rr = ratio_pair_batch(u, v, s2, c2)
-    drift = coeff.spread_rate * kt / denom
-    spin_kick = coeff.accel * t * (2.0 - kt2 / denom)
-    return drift * z_l + rl * spin_kick, drift * z_r + rr * spin_kick
+    r_l, r_r = ratio_pair_at(t, z_l, z_r, s2, c2, coeff)
+    return velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import bohm_epr.integrate as integrate_mod
 from bohm_epr import (
+    ConfigError,
     ExperimentConfig,
+    InformationMode,
     IntegrationConfig,
     IntegrationDiverged,
     RawPhysicalInputs,
@@ -127,9 +129,31 @@ def test_divergence_names_the_input_index_after_compaction(monkeypatch):
 
 def test_run_epr_divergence_names_the_pair():
     bench = RawPhysicalInputs(packet_width=1.0e-150)
-    cfg = ExperimentConfig(physics=bench, n_pairs=8, master_seed=3)
-    with pytest.raises(IntegrationDiverged) as err:
-        run_epr(cfg)
-    assert err.value.step == 1
-    assert err.value.system_index == 0
-    assert "pair 0" in str(err.value)
+    for mode, seed, view in (
+        (InformationMode.NONLOCAL, 3, "view A and B"),
+        # at this seed pair 0's two observers attribute different settings
+        (InformationMode.LOCAL, 4, "view A"),
+    ):
+        cfg = ExperimentConfig(physics=bench, n_pairs=8, master_seed=seed, mode=mode)
+        with pytest.raises(IntegrationDiverged) as err:
+            run_epr(cfg)
+        assert err.value.step == 1
+        assert err.value.system_index == 0
+        assert str(err.value).endswith(f": pair 0, {view}, {mode.value} mode")
+
+
+@pytest.mark.parametrize("s2,c2", [
+    (1.0e290, 1.0e290),
+    (math.nan, 0.5),
+    (0.5, math.nan),
+    (-0.25, 1.25),
+    (0.0, 0.0),
+])
+def test_batch_integrators_reject_bad_weights(s2, c2):
+    z_l0 = np.array([1.0e-3, -1.0e-3])
+    z_r0 = np.array([1.0e-3, 2.0e-3])
+    weights_s2 = np.array([0.5, s2])
+    weights_c2 = np.array([0.5, c2])
+    for integrate in (integrate_batch, integrate_retiring):
+        with pytest.raises(ConfigError):
+            integrate(z_l0, z_r0, weights_s2, weights_c2, CO, FULL)

@@ -209,14 +209,37 @@ def test_batch_velocity_matches_scalar():
         assert abs(vr_b[0] - vr_s) <= 1e-13 * scale
 
 
+def _straddling_batch(rng, n):
+    # half the elements take the direct branch, half the factored one;
+    # some sit exactly on the limit and some have one weight zero
+    u = rng.uniform(-600.0, 600.0, size=n)
+    v = rng.uniform(-310.0, 310.0, size=n)
+    u[::9] = 300.0
+    v[4::9] = -300.0
+    s2 = rng.uniform(0.0, 1.0, size=n)
+    s2[::5] = 0.0
+    s2[2::5] = 1.0
+    return u, v, s2, 1.0 - s2
+
+
 def test_batch_result_does_not_depend_on_position_in_batch():
     rng = np.random.default_rng(71)
     n = 256
     u = rng.uniform(-1e4, 1e4, size=n)
     v = rng.uniform(-1e4, 1e4, size=n)
     s2 = rng.uniform(0.0, 1.0, size=n)
-    c2 = 1.0 - s2
-    full_l, full_r = ratio_pair_batch(u, v, s2, c2)
-    half_l, half_r = ratio_pair_batch(u[100:140], v[100:140], s2[100:140], c2[100:140])
-    assert np.array_equal(full_l[100:140], half_l)
-    assert np.array_equal(full_r[100:140], half_r)
+    wide = (u, v, s2, 1.0 - s2)
+    straddling = _straddling_batch(rng, n)
+    small = np.maximum(np.abs(straddling[0]), np.abs(straddling[1])) <= 300.0
+    assert small.any() and not small.all()
+    for u, v, s2, c2 in (wide, straddling):
+        full_l, full_r = ratio_pair_batch(u, v, s2, c2)
+        half_l, half_r = ratio_pair_batch(u[100:140], v[100:140], s2[100:140], c2[100:140])
+        assert np.array_equal(full_l[100:140], half_l)
+        assert np.array_equal(full_r[100:140], half_r)
+    # each element of the mixed batch gets the bits of a one-element call
+    u, v, s2, c2 = straddling
+    for i in range(n):
+        one_l, one_r = ratio_pair_batch(u[i:i + 1], v[i:i + 1], s2[i:i + 1], c2[i:i + 1])
+        assert one_l.tobytes() == full_l[i:i + 1].tobytes()
+        assert one_r.tobytes() == full_r[i:i + 1].tobytes()
