@@ -41,12 +41,14 @@ from .experiment import (
     Normalization,
     SwitchPolicy,
     count_rates,
+    integrate_views,
     kick_ratio,
     prepare_pairs,
     quiescent_config,
     report_json_dict,
     run_epr,
     table1_run,
+    view_systems,
     write_events_csv,
 )
 from .hooke import (
@@ -58,7 +60,7 @@ from .hooke import (
     write_spring_csv,
 )
 from .infomodel import InformationMode
-from .integrate import IntegrationConfig, integrate_pair
+from .integrate import IntegrationConfig, integrate_batch
 from .physconst import RawPhysicalInputs, derive_coefficients
 
 ENV_SEED = "BOHM_EPR_SEED"
@@ -532,18 +534,17 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time,
                              record_every=args.record_every)
     prepared = prepare_pairs(cfg, limit=n_dump)
+    systems, a_sys, b_sys, labels = view_systems(prepared)
+    z_l, z_r = integrate_views(integrate_batch, systems, labels, cfg.mode, coeff, icfg)
+    steps = icfg.recorded_steps()
     path = os.path.join(out_dir, "trajectories.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pair_id,view,step,t,z_L,z_R\n")
-        for pair in prepared:
-            left, right = integrate_pair(
-                (pair.z_l0, pair.z_r0), pair.seen_by_a, pair.seen_by_b,
-                coeff, icfg)
-            for view, traj in (("A", left), ("B", right)):
-                for state in traj.samples:
-                    step = round(state.t / cfg.dt)
-                    fh.write(f"{pair.pair_id},{view},{step},"
-                             f"{state.t!r},{state.z_l!r},{state.z_r!r}\n")
+        for j, pair in enumerate(prepared):
+            for view, s in (("A", a_sys[j]), ("B", b_sys[j])):
+                for k, step in enumerate(steps):
+                    fh.write(f"{pair.pair_id},{view},{step},{step * cfg.dt!r},"
+                             f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
     write_manifest(out_dir, cfg, ["trajectories.csv", "manifest.json"],
                    "dump-trajectories", provenance, started)
     print(f"dumped {len(prepared)} pairs to trajectories.csv in {out_dir}")
@@ -559,7 +560,7 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--efficiency", choices=[e.value for e in Efficiency])
     sub.add_argument("--normalization", choices=[n.value for n in Normalization])
     sub.add_argument("--workers", type=int, metavar="N",
-                     help="parallel integration workers")
+                     help="accepted for compatibility; changes nothing")
     sub.add_argument("--out", metavar="DIR", default=".",
                      help="output directory (default: current)")
 
@@ -585,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--pairs", type=int, metavar="N", default=4000)
     table.add_argument("--replicates", type=int, metavar="R", default=1,
                        help="repeat with derived seeds and report the spread")
-    table.add_argument("--workers", type=int, metavar="N", default=1)
+    table.add_argument("--workers", type=int, metavar="N", default=1,
+                       help="accepted for compatibility; changes nothing")
     table.add_argument("--out", metavar="DIR", default=".")
     table.set_defaults(func=_cmd_table1)
 

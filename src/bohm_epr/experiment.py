@@ -24,8 +24,8 @@ pair i:
    S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
 Every random draw comes from a stream derived from (master_seed, role,
-index), so reruns with one seed are reproducible pair by pair and the
-worker count cannot change any number.
+index), so reruns with one seed are reproducible pair by pair. The
+worker count is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +51,13 @@ from .integrate import (
     sample_initial,
     sign_outcome,
 )
-from .physconst import LIGHT_SPEED, RawPhysicalInputs, SILVER, derive_coefficients
+from .physconst import (
+    LIGHT_SPEED,
+    DerivedCoefficients,
+    RawPhysicalInputs,
+    SILVER,
+    derive_coefficients,
+)
 from .velocity import SettingPair, Side
 
 CELL_LABELS = ("ab", "ab'", "a'b", "a'b'")
@@ -127,7 +132,11 @@ def detector_loss(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one run."""
+    """Complete description of one run.
+
+    ``workers`` is validated and kept for compatibility with existing
+    configs and callers; it selects no code path.
+    """
 
     physics: RawPhysicalInputs = SILVER
     n_pairs: int = 4000
@@ -202,9 +211,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """JSON-safe echo of every field that can affect the numbers.
 
-        The worker count is deliberately absent: it is an execution knob,
-        not part of the experiment, and reports from the same experiment
-        must compare equal whatever hardware ran them.
+        The worker count is deliberately absent: it is accepted for
+        compatibility and changes nothing, and reports from the same
+        experiment must compare equal whatever value it was given.
         """
         def entries_list(entries):
             return [[("-inf" if t == -math.inf else t), a] for t, a in entries]
@@ -441,9 +450,14 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> list[Prepa
     transport. Pairs that lose a particle are still prepared in full;
     their trajectories remain well defined even though only surviving
     outcomes reach the detectors.
+
+    Only the first ``limit`` pair streams are drawn and only their
+    launches enter the switching timelines. That cut is exact:
+    ``pair_period >= flight + transit`` puts every timeline query of
+    pair j at or before its magnet entry, which comes before launch
+    j + 1.
     """
-    n = cfg.n_pairs
-    take = n if limit is None else min(limit, n)
+    n = cfg.n_pairs if limit is None else max(0, min(limit, cfg.n_pairs))
     a_rand = np.empty(n, dtype=np.int64)
     b_rand = np.empty(n, dtype=np.int64)
     z_l0 = np.empty(n)
@@ -474,7 +488,7 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> list[Prepa
     v = cfg.physics.beam_speed
     c = cfg.physics.light_speed
     prepared: list[PreparedPair] = []
-    for i in range(take):
+    for i in range(n):
         t_launch = launches[i]
         t_entry = t_launch + flight
         seen_a = effective_settings(Side.L, t_entry, timelines, cfg.mode)
@@ -501,39 +515,25 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> list[Prepa
     return prepared
 
 
-def _transport_all(
+def view_systems(
     prepared: list[PreparedPair],
-    cfg: ExperimentConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate every needed view; returns per-pair outcome arrays.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """One transport system per distinct view of each pair.
 
-    Pairs whose two views coincide are integrated once; differing views
-    get one system each. Systems are packed into fixed-size chunks so
-    results do not depend on how many workers split the job. Only the
-    exit signs are needed, so each chunk goes through the retiring
-    transport.
+    A pair whose two observers attribute the same settings gets one
+    system; otherwise each view gets its own. Returns the systems'
+    (z_l0, z_r0, s2, c2) arrays, the system of each pair's A view and
+    of its B view, and a (pair_id, view) label per system.
     """
-    coeff = derive_coefficients(cfg.physics)
-    icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time, record_every=0)
-
-    sys_zl: list[float] = []
-    sys_zr: list[float] = []
-    sys_s2: list[float] = []
-    sys_c2: list[float] = []
-    sys_pair: list[int] = []
-    sys_view: list[str] = []
+    rows: list[tuple[float, float, float, float]] = []
+    labels: list[tuple[int, str]] = []
     a_sys = np.empty(len(prepared), dtype=np.int64)
     b_sys = np.empty(len(prepared), dtype=np.int64)
 
     def add_system(pair: PreparedPair, settings: SettingPair, view: str) -> int:
-        s2, c2 = settings.weights()
-        sys_zl.append(pair.z_l0)
-        sys_zr.append(pair.z_r0)
-        sys_s2.append(s2)
-        sys_c2.append(c2)
-        sys_pair.append(pair.pair_id)
-        sys_view.append(view)
-        return len(sys_zl) - 1
+        rows.append((pair.z_l0, pair.z_r0, *settings.weights()))
+        labels.append((pair.pair_id, view))
+        return len(rows) - 1
 
     for j, pair in enumerate(prepared):
         if pair.seen_by_b == pair.seen_by_a:
@@ -541,38 +541,52 @@ def _transport_all(
         else:
             a_sys[j] = add_system(pair, pair.seen_by_a, "A")
             b_sys[j] = add_system(pair, pair.seen_by_b, "B")
+    # reshape keeps no pairs four columns wide; copy makes each column contiguous
+    columns = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
+    return tuple(columns), a_sys, b_sys, labels
 
-    zl = np.asarray(sys_zl)
-    zr = np.asarray(sys_zr)
-    s2 = np.asarray(sys_s2)
-    c2 = np.asarray(sys_c2)
-    m = len(zl)
+
+def integrate_views(integrate, systems: tuple[np.ndarray, ...],
+                    labels: list[tuple[int, str]], mode: InformationMode,
+                    coeff: DerivedCoefficients, icfg: IntegrationConfig, lo: int = 0):
+    """``integrate(*systems, coeff, icfg)``, with a divergence named by pair and view.
+
+    ``systems`` may be a slice of the arrays ``view_systems`` returned,
+    starting at system ``lo``.
+    """
+    try:
+        return integrate(*systems, coeff, icfg)
+    except IntegrationDiverged as err:
+        index = lo + (err.system_index if err.system_index is not None else 0)
+        pair_id, view = labels[index]
+        raise IntegrationDiverged(
+            step=err.step, system_index=index,
+            detail=f"pair {pair_id}, view {view}, {mode.value} mode") from err
+
+
+def _transport_all(
+    prepared: list[PreparedPair],
+    cfg: ExperimentConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate every needed view; returns per-pair outcome arrays.
+
+    Pairs whose two views coincide are integrated once; differing views
+    get one system each. Systems go through the retiring transport in
+    fixed-size chunks, which only bound the working memory: systems are
+    independent, so the chunk size changes no result. Only the exit
+    signs are needed.
+    """
+    coeff = derive_coefficients(cfg.physics)
+    icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time, record_every=0)
+    systems, a_sys, b_sys, labels = view_systems(prepared)
+    m = len(labels)
     out_l = np.empty(m)
     out_r = np.empty(m)
-    spans = [(lo, min(lo + _BATCH_CHUNK, m)) for lo in range(0, m, _BATCH_CHUNK)]
-
-    def work(span: tuple[int, int]):
-        lo, hi = span
-        try:
-            return lo, integrate_retiring(
-                zl[lo:hi], zr[lo:hi], s2[lo:hi], c2[lo:hi], coeff, icfg)
-        except IntegrationDiverged as err:
-            local = err.system_index if err.system_index is not None else 0
-            raise IntegrationDiverged(
-                step=err.step,
-                system_index=lo + local,
-                detail=(f"pair {sys_pair[lo + local]}, view {sys_view[lo + local]}, "
-                        f"{cfg.mode.value} mode"),
-            ) from err
-
-    if cfg.workers <= 1 or len(spans) <= 1:
-        results = [work(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, spans))
-    for lo, (chunk_l, chunk_r) in results:
-        out_l[lo:lo + len(chunk_l)] = chunk_l
-        out_r[lo:lo + len(chunk_r)] = chunk_r
+    for lo in range(0, m, _BATCH_CHUNK):
+        hi = min(lo + _BATCH_CHUNK, m)
+        out_l[lo:hi], out_r[lo:hi] = integrate_views(
+            integrate_retiring, tuple(a[lo:hi] for a in systems), labels,
+            cfg.mode, coeff, icfg, lo)
 
     outcome_a = np.empty(len(prepared), dtype=np.int64)
     outcome_b = np.empty(len(prepared), dtype=np.int64)

@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
+from .integrate import rk4_step
 
 
 class SpringMode(Enum):
@@ -99,30 +100,25 @@ def _check_grid(duration: float, dt: float) -> int:
     return int(round(duration / dt))
 
 
-def _rk4_ode(rhs, y0: tuple[float, ...], n_steps: int, dt: float) -> np.ndarray:
-    """Plain RK4 on a small tuple state; returns (n_steps+1, len(y0))."""
-    dim = len(y0)
-    out = np.empty((n_steps + 1, dim))
-    out[0] = y0
-    y = y0
-    for i in range(n_steps):
-        t = i * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, tuple(y[j] + 0.5 * dt * k1[j] for j in range(dim)))
-        k3 = rhs(t + 0.5 * dt, tuple(y[j] + 0.5 * dt * k2[j] for j in range(dim)))
-        k4 = rhs(t + dt, tuple(y[j] + dt * k3[j] for j in range(dim)))
-        y = tuple(
-            y[j] + dt / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(dim)
-        )
-        out[i + 1] = y
-    return out
+def _start(params: HookeParams, n_steps: int) -> np.ndarray:
+    """The (n_steps+1, 4) row buffer of (x1, v1, x2, v2), row 0 filled."""
+    rows = np.empty((n_steps + 1, 4))
+    rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
+    return rows
 
 
-def _traj_from_rows(rows: np.ndarray, dt: float) -> SpringTrajectory:
-    n = rows.shape[0]
+def _rk4_ode(rhs, rows: np.ndarray, dt: float) -> SpringTrajectory:
+    """RK4 from row 0 of ``rows``, filling each later row with one step.
+
+    The state is a list of Python floats: a numpy 4-vector costs more
+    per operation than it saves. ``rhs`` may read rows already written.
+    """
+    y = rows[0].tolist()
+    for i in range(rows.shape[0] - 1):
+        y = rk4_step(rhs, i, dt, y)
+        rows[i + 1] = y
     return SpringTrajectory(
-        t=np.arange(n) * dt,
+        t=np.arange(rows.shape[0]) * dt,
         x1=rows[:, 0].copy(),
         v1=rows[:, 1].copy(),
         x2=rows[:, 2].copy(),
@@ -135,53 +131,32 @@ def _simulate_retarded(params: HookeParams, duration: float, dt: float) -> Sprin
     if dt > tau / 4.0:
         raise ConfigError(
             f"retarded coupling needs dt <= delay/4 ({tau / 4.0:.6g}), got dt = {dt:.6g}")
-    n_steps = _check_grid(duration, dt)
+    rows = _start(params, _check_grid(duration, dt))
     k1_m1 = params.stiffness / params.mass_1
     k1_m2 = params.stiffness / params.mass_2
 
-    x1 = np.empty(n_steps + 1)
-    v1 = np.empty(n_steps + 1)
-    x2 = np.empty(n_steps + 1)
-    v2 = np.empty(n_steps + 1)
-    x1[0], v1[0], x2[0], v2[0] = params.x1_0, params.v1_0, params.x2_0, params.v2_0
-
-    def delayed(hist: np.ndarray, init: float, t_query: float) -> float:
+    def delayed(col: int, t_query: float) -> float:
         # Constant prehistory: before launch each mass sat at its start.
+        # dt <= tau/4 puts every query before the step being taken.
         if t_query <= 0.0:
-            return init
+            return float(rows[0, col])
         pos = t_query / dt
         j = int(pos)
         frac = pos - j
         if frac == 0.0:
-            return float(hist[j])
-        return float(hist[j] * (1.0 - frac) + hist[j + 1] * frac)
+            return float(rows[j, col])
+        return float(rows[j, col] * (1.0 - frac) + rows[j + 1, col] * frac)
 
-    for i in range(n_steps):
-        t = i * dt
+    def rhs(ts: float, state: list[float]):
+        s_x1, s_v1, s_x2, s_v2 = state
+        return (
+            s_v1,
+            -k1_m1 * (s_x1 - delayed(2, ts - tau)),
+            s_v2,
+            -k1_m2 * (s_x2 - delayed(0, ts - tau)),
+        )
 
-        def rhs(ts: float, state: tuple[float, float, float, float]):
-            s_x1, s_v1, s_x2, s_v2 = state
-            x2_then = delayed(x2, params.x2_0, ts - tau)
-            x1_then = delayed(x1, params.x1_0, ts - tau)
-            return (
-                s_v1,
-                -k1_m1 * (s_x1 - x2_then),
-                s_v2,
-                -k1_m2 * (s_x2 - x1_then),
-            )
-
-        y = (x1[i], v1[i], x2[i], v2[i])
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, tuple(y[j] + 0.5 * dt * k1[j] for j in range(4)))
-        k3 = rhs(t + 0.5 * dt, tuple(y[j] + 0.5 * dt * k2[j] for j in range(4)))
-        k4 = rhs(t + dt, tuple(y[j] + dt * k3[j] for j in range(4)))
-        x1[i + 1] = y[0] + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v1[i + 1] = y[1] + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        x2[i + 1] = y[2] + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        v2[i + 1] = y[3] + dt / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    t_axis = np.arange(n_steps + 1) * dt
-    return SpringTrajectory(t=t_axis, x1=x1, v1=v1, x2=x2, v2=v2)
+    return _rk4_ode(rhs, rows, dt)
 
 
 def simulate_spring(
@@ -200,21 +175,19 @@ def simulate_spring(
     tau = params.delay
 
     if mode is SpringMode.EXPANDED:
-        def rhs(t: float, y: tuple[float, float, float, float]):
+        def rhs(t: float, y: list[float]):
             x1, v1, x2, v2 = y
             stretch = x1 - x2
             return (v1, -k_m1 * stretch - k_m1 * tau * v2,
                     v2, k_m2 * stretch - k_m2 * tau * v1)
     else:
         # Instantaneous coupling; also the tau = 0 retarded system.
-        def rhs(t: float, y: tuple[float, float, float, float]):
+        def rhs(t: float, y: list[float]):
             x1, v1, x2, v2 = y
             stretch = x1 - x2
             return (v1, -k_m1 * stretch, v2, k_m2 * stretch)
 
-    rows = _rk4_ode(
-        rhs, (params.x1_0, params.v1_0, params.x2_0, params.v2_0), n_steps, dt)
-    return _traj_from_rows(rows, dt)
+    return _rk4_ode(rhs, _start(params, n_steps), dt)
 
 
 def center_of_mass_spring(
@@ -229,14 +202,12 @@ def center_of_mass_spring(
     v_cm = (params.mass_1 * params.v1_0 + params.mass_2 * params.v2_0) / m_total
     rate_1 = params.stiffness * m_total / (params.mass_1 * params.mass_2)
 
-    def rhs(t: float, y: tuple[float, float, float, float]):
+    def rhs(t: float, y: list[float]):
         x1, v1, x2, v2 = y
         x_cm = x_cm0 + v_cm * t
         return (v1, -rate_1 * (x1 - x_cm), v2, -rate_1 * (x2 - x_cm))
 
-    rows = _rk4_ode(
-        rhs, (params.x1_0, params.v1_0, params.x2_0, params.v2_0), n_steps, dt)
-    return _traj_from_rows(rows, dt)
+    return _rk4_ode(rhs, _start(params, n_steps), dt)
 
 
 def spring_energy(params: HookeParams, traj: SpringTrajectory) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Fixed-step RK4 transport of particle pairs through the magnets.
 
-Three entry points share one Butcher tableau:
+Every RK4 step in the package is ``rk4_step``, the one place the
+classical tableau is written; the spring sandbox in ``hooke`` uses it
+too. Transport has three entry points, all over numpy arrays of
+independent two-particle systems:
 
-* ``integrate_pair`` moves a single pair, in plain scalar arithmetic,
-  under the (possibly different) setting pairs each observer attributes
-  to the apparatus, and returns one trajectory per view. Recorded
-  trajectories come from here.
-* ``integrate_batch`` moves many independent two-particle systems at
-  once as numpy arrays, for the full transit. Its agreement with the
-  scalar path is a regression test, and it is the oracle for the third.
+* ``integrate_batch`` moves many systems for the full transit and,
+  when the config asks for it, records every n-th step. It is the
+  oracle for the third entry point, and dump-trajectories records with
+  it.
+* ``integrate_pair`` moves a single pair under the (possibly different)
+  setting pairs each observer attributes to the apparatus, as a batch
+  of one system per distinct view, and returns one trajectory per view.
 * ``integrate_retiring`` is the outcome-only transport of the run
   protocol. It steps like ``integrate_batch`` but retires each system
   as soon as its outcome is fixed and finishes it on the closed-form
   single-branch trajectory (see its docstring for the rule).
 
-The two array paths take their steps from one private array RK4 step.
 Time is never accumulated: step i lives at t = i * dt exactly, so the
 step count, not rounding, decides where the integration ends. The state
 is checked for finiteness after every step and a non-finite value raises
@@ -35,7 +37,6 @@ from .velocity import (
     TrajectoryState,
     ratio_pair_at,
     velocity_from_ratios,
-    velocity_pair,
     velocity_pair_batch,
 )
 
@@ -74,6 +75,15 @@ class IntegrationConfig:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
+    def recorded_steps(self) -> list[int]:
+        """The steps whose positions an integration returns, in order.
+
+        Only the last step unless recording is on.
+        """
+        if self.record_every == 0:
+            return [self.n_steps]
+        return [*range(0, self.n_steps, self.record_every), self.n_steps]
+
 
 def sign_outcome(z: float) -> int:
     """Detector outcome from a final transverse position. Ties go up."""
@@ -108,49 +118,6 @@ def sample_initial(rng: np.random.Generator, packet_width: float) -> tuple[float
     return float(draws[0]), float(draws[1])
 
 
-def _integrate_scalar(
-    z_l0: float,
-    z_r0: float,
-    settings: SettingPair,
-    coeff: DerivedCoefficients,
-    cfg: IntegrationConfig,
-) -> PairTrajectory:
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    z_l, z_r = z_l0, z_r0
-    samples: list[TrajectoryState] = []
-    if cfg.record_every > 0:
-        samples.append(TrajectoryState(z_l, z_r, 0.0))
-    for i in range(n_steps):
-        t = i * dt
-        k1l, k1r = velocity_pair(TrajectoryState(z_l, z_r, t), settings, coeff)
-        th = t + 0.5 * dt
-        k2l, k2r = velocity_pair(
-            TrajectoryState(z_l + 0.5 * dt * k1l, z_r + 0.5 * dt * k1r, th),
-            settings, coeff)
-        k3l, k3r = velocity_pair(
-            TrajectoryState(z_l + 0.5 * dt * k2l, z_r + 0.5 * dt * k2r, th),
-            settings, coeff)
-        t1 = (i + 1) * dt
-        k4l, k4r = velocity_pair(
-            TrajectoryState(z_l + dt * k3l, z_r + dt * k3r, t1),
-            settings, coeff)
-        z_l = z_l + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-        z_r = z_r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        if not (math.isfinite(z_l) and math.isfinite(z_r)):
-            raise IntegrationDiverged(step=i + 1)
-        if cfg.record_every > 0 and ((i + 1) % cfg.record_every == 0 or i + 1 == n_steps):
-            samples.append(TrajectoryState(z_l, z_r, t1))
-    final = TrajectoryState(z_l, z_r, n_steps * dt)
-    return PairTrajectory(
-        settings=settings,
-        final=final,
-        outcome_l=sign_outcome(z_l),
-        outcome_r=sign_outcome(z_r),
-        samples=tuple(samples),
-    )
-
-
 def integrate_pair(
     init: tuple[float, float],
     settings_l: SettingPair,
@@ -163,16 +130,30 @@ def integrate_pair(
     ``settings_l`` is the setting pair the left observer believes is in
     force, ``settings_r`` the right observer's. When the two coincide the
     system is integrated once and the same trajectory is returned for
-    both views; otherwise each view gets its own integration.
+    both views; otherwise each view gets its own system in one batch.
     """
     z_l0, z_r0 = init
     if not (math.isfinite(z_l0) and math.isfinite(z_r0)):
         raise ConfigError("initial positions must be finite")
-    left_view = _integrate_scalar(z_l0, z_r0, settings_l, coeff, cfg)
-    if settings_r == settings_l:
-        return left_view, left_view
-    right_view = _integrate_scalar(z_l0, z_r0, settings_r, coeff, cfg)
-    return left_view, right_view
+    views = (settings_l,) if settings_r == settings_l else (settings_l, settings_r)
+    n = len(views)
+    s2, c2 = (np.array(w) for w in zip(*(s.weights() for s in views)))
+    z_l, z_r = integrate_batch(np.full(n, z_l0), np.full(n, z_r0), s2, c2, coeff, cfg)
+    steps = cfg.recorded_steps()
+    z_l, z_r = z_l.reshape(-1, n), z_r.reshape(-1, n)
+    trajectories = [
+        PairTrajectory(
+            settings=settings,
+            final=TrajectoryState(float(z_l[-1, j]), float(z_r[-1, j]), cfg.n_steps * cfg.dt),
+            outcome_l=sign_outcome(float(z_l[-1, j])),
+            outcome_r=sign_outcome(float(z_r[-1, j])),
+            samples=tuple(
+                TrajectoryState(float(z_l[k, j]), float(z_r[k, j]), step * cfg.dt)
+                for k, step in enumerate(steps)) if cfg.record_every else (),
+        )
+        for j, settings in enumerate(views)
+    ]
+    return trajectories[0], trajectories[-1]
 
 
 def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
@@ -188,33 +169,30 @@ def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _rk4_step(
-    i: int,
-    dt: float,
-    z_l: np.ndarray,
-    z_r: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-    k1: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step from t = i * dt; returns new position arrays.
+def rk4_step(rhs, i: int, dt: float, y, k1=None) -> list:
+    """One classical RK4 step of y' = rhs(t, y) from t = i * dt.
 
-    ``k1``, when given, is the velocity at the start of the step, already
-    evaluated by the caller.
+    ``y`` is a sequence of components, Python floats or numpy arrays,
+    and ``rhs(t, y)`` returns their derivatives as a sequence of the same
+    length. The stages sit at i * dt, i * dt + dt / 2 and (i + 1) * dt.
+    ``k1``, when given, is rhs(i * dt, y), already evaluated by the
+    caller. Returns the state at (i + 1) * dt as a list.
     """
     t = i * dt
-    th = t + 0.5 * dt
-    t1 = (i + 1) * dt
-    k1l, k1r = velocity_pair_batch(t, z_l, z_r, s2, c2, coeff) if k1 is None else k1
-    k2l, k2r = velocity_pair_batch(
-        th, z_l + 0.5 * dt * k1l, z_r + 0.5 * dt * k1r, s2, c2, coeff)
-    k3l, k3r = velocity_pair_batch(
-        th, z_l + 0.5 * dt * k2l, z_r + 0.5 * dt * k2r, s2, c2, coeff)
-    k4l, k4r = velocity_pair_batch(
-        t1, z_l + dt * k3l, z_r + dt * k3r, s2, c2, coeff)
-    return (z_l + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l),
-            z_r + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+    half = 0.5 * dt
+    th = t + half
+    if k1 is None:
+        k1 = rhs(t, y)
+    k2 = rhs(th, [a + half * k for a, k in zip(y, k1)])
+    k3 = rhs(th, [a + half * k for a, k in zip(y, k2)])
+    k4 = rhs((i + 1) * dt, [a + dt * k for a, k in zip(y, k3)])
+    return [a + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def _guidance(s2: np.ndarray, c2: np.ndarray, coeff: DerivedCoefficients):
+    """The guidance law as an ``rk4_step`` right-hand side on (z_l, z_r)."""
+    return lambda t, y: velocity_pair_batch(t, y[0], y[1], s2, c2, coeff)
 
 
 def _check_finite(step: int, z_l: np.ndarray, z_r: np.ndarray,
@@ -238,13 +216,25 @@ def integrate_batch(
     """Transport many independent systems at once; returns exit positions.
 
     All four arrays must share one length. Each element is an independent
-    two-particle system with its own setting weights.
+    two-particle system with its own setting weights. With
+    ``cfg.record_every`` > 0 both returned arrays gain a leading axis:
+    row k holds the positions at step ``cfg.recorded_steps()[k]``, so
+    the last row is the exit.
     """
     z_l, z_r, s2, c2 = _batch_arrays(z_l0, z_r0, s2, c2)
-    for i in range(cfg.n_steps):
-        z_l, z_r = _rk4_step(i, cfg.dt, z_l, z_r, s2, c2, coeff)
-        _check_finite(i + 1, z_l, z_r)
-    return z_l, z_r
+    rhs = _guidance(s2, c2, coeff)
+    n_steps = cfg.n_steps
+    every = cfg.record_every
+    y = (z_l, z_r)
+    track = [y]
+    for i in range(n_steps):
+        y = rk4_step(rhs, i, cfg.dt, y)
+        _check_finite(i + 1, *y)
+        if every and ((i + 1) % every == 0 or i + 1 == n_steps):
+            track.append(y)
+    if not every:
+        return y[0], y[1]
+    return np.array([z[0] for z in track]), np.array([z[1] for z in track])
 
 
 def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,
@@ -346,7 +336,7 @@ def integrate_retiring(
         if active.size == 0:
             break
         k1 = velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)
-        z_l, z_r = _rk4_step(i, dt, z_l, z_r, s2, c2, coeff, k1)
+        z_l, z_r = rk4_step(_guidance(s2, c2, coeff), i, dt, (z_l, z_r), k1)
         _check_finite(i + 1, z_l, z_r, active)
     exit_l[active] = z_l
     exit_r[active] = z_r

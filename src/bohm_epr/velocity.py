@@ -28,10 +28,11 @@ formula is used (it is exquisitely accurate for small arguments, which
 the aligned-analyzer reduction tests rely on); above it the numerator and
 denominator are factored by the dominant exponential among the terms with
 non-zero weight, which keeps every intermediate bounded. The result is
-clamped to [-1, 1], the mathematical range of both ratios. In the
-array kernel ``ratio_pair_batch`` each element evaluates only its own
-branch, so a batch pays for the factored branch only on the elements
-past the limit.
+clamped to [-1, 1], the mathematical range of both ratios. The array
+kernel ``ratio_pair_batch`` is the only evaluation of the ratios (the
+scalar entry points are one-element calls of it); each element
+evaluates only its own branch, so a batch pays for the factored branch
+only on the elements past the limit.
 
 For exactly aligned analyzers (s2 == 0) the law collapses to
 
@@ -110,33 +111,6 @@ def exponent_scale(t: float, coeff: DerivedCoefficients) -> float:
     return coeff.exp_coeff * t * t / (1.0 + kt * kt)
 
 
-def _ratio_pair(u: float, v: float, s2: float, c2: float) -> tuple[float, float]:
-    """Both coupling ratios, overflow-safe. Weights are assumed validated."""
-    if max(abs(u), abs(v)) <= _DIRECT_LIMIT:
-        den = s2 * math.cosh(u) + c2 * math.cosh(v)
-        su = s2 * math.sinh(u)
-        cv = c2 * math.sinh(v)
-        rl = (su + cv) / den
-        rr = (su - cv) / den
-    else:
-        # Factor out the largest exponential among terms that actually
-        # carry weight; a zero-weight term must not dictate the scale or
-        # the 0 * exp(large) products would go indeterminate.
-        m = -math.inf
-        if s2 > 0.0:
-            m = abs(u)
-        if c2 > 0.0 and abs(v) > m:
-            m = abs(v)
-        eu = s2 * math.exp(min(u - m, 0.0))
-        enu = s2 * math.exp(min(-u - m, 0.0))
-        ev = c2 * math.exp(min(v - m, 0.0))
-        env = c2 * math.exp(min(-v - m, 0.0))
-        den = eu + enu + ev + env
-        rl = ((eu - enu) + (ev - env)) / den
-        rr = ((eu - enu) - (ev - env)) / den
-    return min(max(rl, -1.0), 1.0), min(max(rr, -1.0), 1.0)
-
-
 def _check_ratio_args(u: float, v: float, s2: float, c2: float) -> None:
     if math.isnan(u) or math.isnan(v):
         raise ConfigError("hyperbolic arguments must not be NaN")
@@ -150,10 +124,11 @@ def stable_ratio(u: float, v: float, s2: float, c2: float, side: Side) -> float:
     """Coupling ratio of one side for given hyperbolic arguments and weights.
 
     Accepts arguments of any magnitude (infinities included); rejects NaN.
+    A one-element call of ``ratio_pair_batch``.
     """
     _check_ratio_args(u, v, s2, c2)
-    rl, rr = _ratio_pair(u, v, s2, c2)
-    return rl if side is Side.L else rr
+    rl, rr = ratio_pair_batch(np.array([u]), np.array([v]), np.array([s2]), np.array([c2]))
+    return float(rl[0] if side is Side.L else rr[0])
 
 
 def velocity_pair(
@@ -161,19 +136,14 @@ def velocity_pair(
     settings: SettingPair,
     coeff: DerivedCoefficients,
 ) -> tuple[float, float]:
-    """Transverse velocities (v_l, v_r) of both particles."""
-    t = state.t
-    kt = coeff.spread_rate * t
-    kt2 = kt * kt
-    denom = 1.0 + kt2
-    w = coeff.exp_coeff * t * t / denom
-    u = 0.5 * w * (state.z_l + state.z_r)
-    v = 0.5 * w * (state.z_l - state.z_r)
+    """Transverse velocities (v_l, v_r) of both particles.
+
+    A one-element call of ``velocity_pair_batch``.
+    """
     s2, c2 = settings.weights()
-    rl, rr = _ratio_pair(u, v, s2, c2)
-    drift = coeff.spread_rate * kt / denom
-    spin_kick = coeff.accel * t * (2.0 - kt2 / denom)
-    return drift * state.z_l + rl * spin_kick, drift * state.z_r + rr * spin_kick
+    v_l, v_r = velocity_pair_batch(state.t, np.array([state.z_l]), np.array([state.z_r]),
+                                   np.array([s2]), np.array([c2]), coeff)
+    return float(v_l[0]), float(v_r[0])
 
 
 def aligned_velocity_pair(
@@ -203,6 +173,8 @@ def _direct_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
 
 def _factored_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
     """The ratios with the dominant weighted exponential factored out."""
+    # A zero-weight term must not dictate the scale, or the
+    # 0 * exp(large) products would go indeterminate.
     m = np.maximum(np.where(s2 > 0.0, np.abs(u), -np.inf),
                    np.where(c2 > 0.0, np.abs(v), -np.inf))
     eu = s2 * np.exp(np.minimum(u - m, 0.0))
@@ -219,10 +191,11 @@ def ratio_pair_batch(
     s2: np.ndarray,
     c2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of the scalar ratio evaluation.
+    """Both coupling ratios of many elements, overflow-safe.
 
-    Each element takes the branch ``stable_ratio`` would take and only
-    that branch is evaluated for it: a batch that is all direct or all
+    The only evaluation of the ratios in the package; ``stable_ratio``
+    is a one-element call. Weights are assumed validated. Each element
+    evaluates only its own branch: a batch that is all direct or all
     factored runs one branch on the whole arrays, a mixed batch runs
     each branch on its own subset. Element order in the input arrays
     does not affect any element's value.
@@ -280,6 +253,10 @@ def velocity_pair_batch(
     c2: np.ndarray,
     coeff: DerivedCoefficients,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of ``velocity_pair`` over many independent systems."""
+    """Velocities (v_l, v_r) of many independent systems at time t.
+
+    The only evaluation of the guidance law in the package;
+    ``velocity_pair`` is a one-element call.
+    """
     r_l, r_r = ratio_pair_at(t, z_l, z_r, s2, c2, coeff)
     return velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)

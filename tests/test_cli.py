@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bohm_epr import (
@@ -11,9 +12,12 @@ from bohm_epr import (
     Efficiency,
     ExperimentConfig,
     InformationMode,
+    IntegrationConfig,
     Normalization,
     RawPhysicalInputs,
     SwitchPolicy,
+    derive_coefficients,
+    integrate_batch,
 )
 from bohm_epr.cli import (
     ENV_SEED,
@@ -24,7 +28,7 @@ from bohm_epr.cli import (
     parse_config,
     read_config_text,
 )
-from bohm_epr.experiment import DEFAULT_SEED, TABLE1_ROWS, derived_seed
+from bohm_epr.experiment import DEFAULT_SEED, TABLE1_ROWS, derived_seed, prepare_pairs
 
 
 @pytest.fixture(autouse=True)
@@ -289,6 +293,52 @@ def test_dump_trajectories(tmp_path):
     steps = [int(row[2]) for row in body if row[0] == "0" and row[1] == "A"]
     assert steps == [0, 500, 1000, 1500, 2000, 2500, 3000]
     assert (out / "manifest.json").exists()
+
+
+def test_dumped_trajectories_do_not_depend_on_batch_mates(tmp_path):
+    lines = {}
+    for n in (3, 6):
+        out = tmp_path / f"dump{n}"
+        assert main(["dump-trajectories", "--mode", "local", "--seed", "4",
+                     "--pairs", str(n), "--record-every", "1000", "--out", str(out)]) == 0
+        lines[n] = (out / "trajectories.csv").read_text().splitlines()
+    assert lines[3] == [line for line in lines[6]
+                        if line.split(",")[0] in ("pair_id", "0", "1", "2")]
+
+    # each view's last sample is the exit of that view integrated alone
+    prepared = prepare_pairs(ExperimentConfig(n_pairs=6, master_seed=4,
+                                              mode=InformationMode.LOCAL))
+    assert any(p.seen_by_a != p.seen_by_b for p in prepared)
+    views = [(p, view, settings) for p in prepared
+             for view, settings in (("A", p.seen_by_a), ("B", p.seen_by_b))]
+    co = derive_coefficients(RawPhysicalInputs())
+    exit_l, exit_r = integrate_batch(
+        np.array([p.z_l0 for p, _, _ in views]), np.array([p.z_r0 for p, _, _ in views]),
+        np.array([s.weights()[0] for _, _, s in views]),
+        np.array([s.weights()[1] for _, _, s in views]),
+        co, IntegrationConfig(dt=1.0e-6, duration=co.transit_time))
+    last = {tuple(row.split(",")[:2]): row.split(",")[4:]
+            for row in lines[6][1:] if row.split(",")[2] == "3000"}
+    assert len(last) == len(views)
+    for i, (pair, view, _) in enumerate(views):
+        assert last[(str(pair.pair_id), view)] == [repr(float(exit_l[i])),
+                                                   repr(float(exit_r[i]))]
+
+
+@pytest.mark.parametrize("mode,seed,view", [
+    ("nonlocal", "3", "view A and B"),
+    ("local", "4", "view A"),
+])
+def test_dump_trajectories_divergence_is_a_numerical_failure(tmp_path, capsys,
+                                                             mode, seed, view):
+    bad = tmp_path / "divergent.ini"
+    bad.write_text("[physics]\npacket_width = 1e-150\n")
+    code = main(["dump-trajectories", "--config", str(bad), "--pairs", "4",
+                 "--seed", seed, "--mode", mode, "--out", str(tmp_path / "dump")])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: non-finite state at step 1")
+    assert err.endswith(f": pair 0, {view}, {mode} mode")
 
 
 def test_dump_trajectories_rejects_bad_cadence(tmp_path):

@@ -340,6 +340,33 @@ def test_explicit_switch_lists():
     assert report.bell is None
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explicit):
+    lists = dict(
+        switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+        explicit_a=((-math.inf, 0.0), (0.021, math.pi / 2.0), (0.047, 0.0)),
+    ) if explicit else {}
+    cfg = ExperimentConfig(n_pairs=300, master_seed=58, mode=InformationMode.LOCAL,
+                           efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
+                           **lists)
+    full = prepare_pairs(cfg)
+    calls = []
+    real = experiment_mod.pair_stream
+
+    def counting(master_seed, pair_id):
+        calls.append(pair_id)
+        return real(master_seed, pair_id)
+
+    monkeypatch.setattr(experiment_mod, "pair_stream", counting)
+    k = 7
+    limited = prepare_pairs(cfg, limit=k)
+    assert len(calls) == k
+    assert limited == full[:k]
+    # local mode reads news of earlier launches, and pairs get lost
+    assert any(p.seen_by_a != p.seen_by_b for p in limited)
+    assert not all(p.survived_a and p.survived_b for p in limited)
+
+
 def test_explicit_list_validation_happens_at_run_time():
     cfg = ExperimentConfig(
         n_pairs=4, master_seed=12,

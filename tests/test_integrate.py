@@ -154,9 +154,8 @@ def test_batch_matches_scalar():
         left, right = integrate_pair(
             (float(z_l0[i]), float(z_r0[i])), pairs[i], pairs[i], CO, cfg)
         assert left is right
-        scale = max(abs(left.final.z_l), abs(left.final.z_r))
-        assert abs(left.final.z_l - float(zl_b[i])) <= 1e-12 * scale
-        assert abs(left.final.z_r - float(zr_b[i])) <= 1e-12 * scale
+        assert left.final.z_l == float(zl_b[i])
+        assert left.final.z_r == float(zr_b[i])
 
 
 def test_aligned_pairs_anticorrelate_exactly():
@@ -208,6 +207,37 @@ def test_divergence_reported_with_step():
                         np.array([0.5, 0.5]), np.array([0.5, 0.5]), co, cfg)
     assert err.value.step >= 1
     assert err.value.system_index is not None
+
+
+def test_integrate_pair_divergence_is_a_numerical_failure():
+    # non-finite RK4 stages must not surface as a ConfigError about a state
+    co = derive_coefficients(RawPhysicalInputs(packet_width=1.0e-150))
+    cfg = IntegrationConfig(dt=1.0e-6, duration=co.transit_time, record_every=10)
+    with pytest.raises(IntegrationDiverged) as err:
+        integrate_pair((1.0e-150, -2.0e-150), SettingPair(0.0, 0.3),
+                       SettingPair(0.5, 0.3), co, cfg)
+    assert not isinstance(err.value, ConfigError)
+    assert err.value.step == 1
+
+
+def test_batch_recording_matches_unrecorded_exit():
+    rng = np.random.default_rng(43)
+    n = 5
+    z_l0 = rng.normal(0.0, 1.0e-3, size=n)
+    z_r0 = rng.normal(0.0, 1.0e-3, size=n)
+    s2 = rng.uniform(0.0, 1.0, size=n)
+    bare = IntegrationConfig(dt=1.0e-6, duration=3.0e-4)
+    rec = IntegrationConfig(dt=1.0e-6, duration=3.0e-4, record_every=70)
+    assert rec.recorded_steps() == [0, 70, 140, 210, 280, 300]
+    end_l, end_r = integrate_batch(z_l0, z_r0, s2, 1.0 - s2, CO, bare)
+    track_l, track_r = integrate_batch(z_l0, z_r0, s2, 1.0 - s2, CO, rec)
+    assert track_l.shape == track_r.shape == (6, n)
+    assert np.array_equal(track_l[0], z_l0) and np.array_equal(track_r[0], z_r0)
+    assert np.array_equal(track_l[-1], end_l) and np.array_equal(track_r[-1], end_r)
+    # a row is the state at its step: a shorter run ends on it
+    short = IntegrationConfig(dt=1.0e-6, duration=1.4e-4)
+    mid_l, mid_r = integrate_batch(z_l0, z_r0, s2, 1.0 - s2, CO, short)
+    assert np.array_equal(track_l[2], mid_l) and np.array_equal(track_r[2], mid_r)
 
 
 def test_batch_is_deterministic_and_chunkable():

@@ -99,8 +99,8 @@ def test_no_overflow_sweep():
     assert np.all(np.abs(rl) <= 1.0) and np.all(np.abs(rr) <= 1.0)
     # scalar path agrees on a subsample
     for i in range(0, n, 100):
-        assert stable_ratio(u[i], v[i], s2[i], c2[i], Side.L) == pytest.approx(
-            rl[i], rel=1e-13, abs=1e-300)
+        assert stable_ratio(u[i], v[i], s2[i], c2[i], Side.L) == rl[i]
+        assert stable_ratio(u[i], v[i], s2[i], c2[i], Side.R) == rr[i]
 
 
 def test_exponent_scale_reference_values():
@@ -204,9 +204,8 @@ def test_batch_velocity_matches_scalar():
             np.array([s2]), np.array([c2]), CO)
         vl_s, vr_s = velocity_pair(
             TrajectoryState(z_l[i], z_r[i], t[i]), settings, CO)
-        scale = max(abs(vl_s), abs(vr_s), 1e-30)
-        assert abs(vl_b[0] - vl_s) <= 1e-13 * scale
-        assert abs(vr_b[0] - vr_s) <= 1e-13 * scale
+        assert vl_b[0] == vl_s
+        assert vr_b[0] == vr_s
 
 
 def _straddling_batch(rng, n):
