@@ -21,6 +21,7 @@ from .experiment import (
     ExperimentReport,
     Normalization,
     PairRecord,
+    PairTable,
     SwitchPolicy,
     TableRow,
     chsh,
@@ -95,6 +96,7 @@ __all__ = [
     "LIGHT_SPEED",
     "Normalization",
     "PairRecord",
+    "PairTable",
     "PairTrajectory",
     "RawPhysicalInputs",
     "SILVER",

@@ -181,17 +181,11 @@ def build_config(values: dict, overrides: dict | None = None,
         return default
 
     physics_defaults = RawPhysicalInputs()
-    physics = RawPhysicalInputs(
-        magnetic_moment=fval("physics.magnetic_moment", float, physics_defaults.magnetic_moment),
-        mass=fval("physics.mass", float, physics_defaults.mass),
-        packet_width=fval("physics.packet_width", float, physics_defaults.packet_width),
-        field_gradient=fval("physics.field_gradient", float, physics_defaults.field_gradient),
-        magnet_length=fval("physics.magnet_length", float, physics_defaults.magnet_length),
-        beam_speed=fval("physics.beam_speed", float, physics_defaults.beam_speed),
-        light_speed=fval("physics.light_speed", float, physics_defaults.light_speed),
-    )
+    physics = RawPhysicalInputs(**{
+        key: fval(f"physics.{key}", float, getattr(physics_defaults, key))
+        for key in _PHYSICS_KEYS})
 
-    defaults = _config_defaults()
+    defaults = ExperimentConfig()
 
     seed_source = "default"
     seed = DEFAULT_SEED
@@ -249,10 +243,6 @@ def build_config(values: dict, overrides: dict | None = None,
         applied["seed"] = seed
     provenance = {"seed_source": seed_source, "flag_overrides": applied}
     return cfg, provenance
-
-
-def _config_defaults() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
@@ -524,6 +514,8 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     started = _utc_now()
     overrides = _overrides_from_args(args)
     n_dump = args.pairs if args.pairs is not None else 4
+    if n_dump < 1:
+        raise ConfigError("--pairs must be at least 1")
     overrides["n_pairs"] = max(4, n_dump)
     cfg, provenance = build_config(_load_file_values(args.config), overrides)
     if args.record_every < 1:
@@ -533,21 +525,21 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     coeff = derive_coefficients(cfg.physics)
     icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time,
                              record_every=args.record_every)
-    prepared = prepare_pairs(cfg, limit=n_dump)
-    systems, a_sys, b_sys, labels = view_systems(prepared)
-    z_l, z_r = integrate_views(integrate_batch, systems, labels, cfg.mode, coeff, icfg)
+    table = prepare_pairs(cfg, limit=n_dump)
+    systems, a_sys, b_sys = view_systems(table)
+    z_l, z_r = integrate_views(integrate_batch, systems, a_sys, b_sys, cfg.mode, coeff, icfg)
     steps = icfg.recorded_steps()
     path = os.path.join(out_dir, "trajectories.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pair_id,view,step,t,z_L,z_R\n")
-        for j, pair in enumerate(prepared):
-            for view, s in (("A", a_sys[j]), ("B", b_sys[j])):
+        for pair_id, a, b in zip(table.pair_id.tolist(), a_sys.tolist(), b_sys.tolist()):
+            for view, s in (("A", a), ("B", b)):
                 for k, step in enumerate(steps):
-                    fh.write(f"{pair.pair_id},{view},{step},{step * cfg.dt!r},"
+                    fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
                              f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
     write_manifest(out_dir, cfg, ["trajectories.csv", "manifest.json"],
                    "dump-trajectories", provenance, started)
-    print(f"dumped {len(prepared)} pairs to trajectories.csv in {out_dir}")
+    print(f"dumped {len(table)} pairs to trajectories.csv in {out_dir}")
     return 0
 
 

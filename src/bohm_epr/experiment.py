@@ -23,9 +23,13 @@ pair i:
    combine into the CHSH statistic
    S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
-Every random draw comes from a stream derived from (master_seed, role,
-index), so reruns with one seed are reproducible pair by pair. The
-worker count is accepted for compatibility and changes nothing.
+The pairs travel as one ``PairTable`` of numpy columns: ``prepare_pairs``
+fills it, ``view_systems`` turns it into transport systems, the outcomes
+join it as two more columns, and the cells, singles and events.csv are
+read from it. Every random draw comes from a stream derived from
+(master_seed, role, index), so reruns with one seed are reproducible
+pair by pair. The worker count is accepted for compatibility and
+changes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -42,15 +46,10 @@ from .infomodel import (
     InformationMode,
     SettingTimelines,
     SideTimeline,
-    effective_settings,
+    seen_angles,
     static_timeline,
 )
-from .integrate import (
-    IntegrationConfig,
-    integrate_retiring,
-    sample_initial,
-    sign_outcome,
-)
+from .integrate import IntegrationConfig, integrate_retiring, sample_initial
 from .physconst import (
     LIGHT_SPEED,
     DerivedCoefficients,
@@ -217,17 +216,8 @@ class ExperimentConfig:
         """
         def entries_list(entries):
             return [[("-inf" if t == -math.inf else t), a] for t, a in entries]
-        p = self.physics
         return {
-            "physics": {
-                "magnetic_moment": p.magnetic_moment,
-                "mass": p.mass,
-                "packet_width": p.packet_width,
-                "field_gradient": p.field_gradient,
-                "magnet_length": p.magnet_length,
-                "beam_speed": p.beam_speed,
-                "light_speed": p.light_speed,
-            },
+            "physics": asdict(self.physics),
             "n_pairs": self.n_pairs,
             "angles_a": list(self.angles_a),
             "angles_b": list(self.angles_b),
@@ -250,23 +240,86 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PairRecord:
-    """Everything recorded about one launched pair."""
+    """One row of a ``PairTable``: everything known about one launched pair.
+
+    The outcomes are None until the pair has been transported.
+    """
 
     pair_id: int
+    z_l0: float
+    z_r0: float
     setting_a: float
     setting_b: float
     a_index: int
     b_index: int
     seen_by_a: SettingPair
     seen_by_b: SettingPair
-    outcome_a: int
-    outcome_b: int
+    switched_a: bool
+    switched_b: bool
     survived_a: bool
     survived_b: bool
+    outcome_a: int | None = None
+    outcome_b: int | None = None
 
     @property
     def coincident(self) -> bool:
         return self.survived_a and self.survived_b
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The launched pairs of a run as numpy columns, one row per pair.
+
+    ``setting_a`` and ``setting_b`` are the angles in force at magnet
+    entry, ``a_index`` and ``b_index`` their places in the menus (-1 when
+    off-menu). Observer A attributes (setting_a, b_seen_by_a) to the
+    apparatus, observer B (a_seen_by_b, setting_b). The outcome columns
+    are None until transport. Indexing, iteration and ``==`` treat the
+    table as a sequence of ``PairRecord`` rows.
+    """
+
+    pair_id: np.ndarray
+    z_l0: np.ndarray
+    z_r0: np.ndarray
+    setting_a: np.ndarray
+    setting_b: np.ndarray
+    a_index: np.ndarray
+    b_index: np.ndarray
+    b_seen_by_a: np.ndarray
+    a_seen_by_b: np.ndarray
+    switched_a: np.ndarray
+    switched_b: np.ndarray
+    survived_a: np.ndarray
+    survived_b: np.ndarray
+    outcome_a: np.ndarray | None = None
+    outcome_b: np.ndarray | None = None
+
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __len__(self) -> int:
+        return len(self.pair_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PairTable(**{name: None if col is None else col[index]
+                                for name, col in self._columns().items()})
+        i = range(len(self))[index]
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self):
+        columns = [[None] * len(self) if col is None else col.tolist()
+                   for col in self._columns().values()]
+        for i, z_l0, z_r0, a, b, ia, ib, b_seen, a_seen, *flags_and_outcomes in zip(*columns):
+            yield PairRecord(i, z_l0, z_r0, a, b, ia, ib, SettingPair(a, b_seen),
+                             SettingPair(a_seen, b), *flags_and_outcomes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        # np.array_equal(None, None) holds, and None never equals an array
+        return all(np.array_equal(x, y)
+                   for x, y in zip(self._columns().values(), other._columns().values()))
 
 
 @dataclass(frozen=True)
@@ -325,7 +378,7 @@ class ExperimentReport:
     """Full outcome of one run."""
 
     config: ExperimentConfig
-    records: tuple[PairRecord, ...]
+    records: PairTable
     bell: BellEstimate | None
     cell_counts: tuple[int, int, int, int]
     cell_sums: tuple[int, int, int, int]
@@ -395,32 +448,6 @@ def derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class PreparedPair:
-    """A pair after all randomness and information bookkeeping, before transport."""
-
-    pair_id: int
-    z_l0: float
-    z_r0: float
-    setting_a: float
-    setting_b: float
-    a_index: int
-    b_index: int
-    seen_by_a: SettingPair
-    seen_by_b: SettingPair
-    switched_a: bool
-    switched_b: bool
-    survived_a: bool
-    survived_b: bool
-
-
-def _menu_index(menu: tuple[float, float], angle: float) -> int:
-    for i, value in enumerate(menu):
-        if value == angle:
-            return i
-    return -1
-
-
 def _policy_timeline(
     policy: SwitchPolicy,
     menu: tuple[float, float],
@@ -433,17 +460,17 @@ def _policy_timeline(
         return static_timeline(menu[0])
     if policy is SwitchPolicy.EXPLICIT_LIST:
         return SideTimeline(entries=tuple((float(t), float(a)) for t, a in explicit))
-    entries: list[tuple[float, float]] = [(-math.inf, menu[init_idx])]
-    current = menu[init_idx]
-    for i in range(len(launches)):
-        angle = menu[int(rand_idx[i])]
-        if angle != current:
-            entries.append((float(launches[i]), angle))
-            current = angle
-    return SideTimeline(entries=tuple(entries))
+    angles = np.array(menu)[rand_idx]
+    switch = angles != np.concatenate(([menu[init_idx]], angles[:-1]))
+    return SideTimeline(entries=((-math.inf, menu[init_idx]),
+                                 *zip(launches[switch].tolist(), angles[switch].tolist())))
 
 
-def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> list[PreparedPair]:
+def _menu_indices(menu: tuple[float, float], angles: np.ndarray) -> np.ndarray:
+    return np.where(angles == menu[0], 0, np.where(angles == menu[1], 1, -1))
+
+
+def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
     """Draw, switch, propagate information, and apply losses for each pair.
 
     Returns the first ``limit`` pairs (all by default) ready for
@@ -473,99 +500,95 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> list[Prepa
     init_b = int(rng_init.integers(0, 2))
 
     launches = np.arange(n, dtype=float) * cfg.pair_period
-    timeline_a = _policy_timeline(
-        cfg.switch_policy_a, cfg.angles_a, a_rand, launches, cfg.explicit_a, init_a)
-    timeline_b = _policy_timeline(
-        cfg.switch_policy_b, cfg.angles_b, b_rand, launches, cfg.explicit_b, init_b)
     timelines = SettingTimelines(
-        side_a=timeline_a,
-        side_b=timeline_b,
+        side_a=_policy_timeline(
+            cfg.switch_policy_a, cfg.angles_a, a_rand, launches, cfg.explicit_a, init_a),
+        side_b=_policy_timeline(
+            cfg.switch_policy_b, cfg.angles_b, b_rand, launches, cfg.explicit_b, init_b),
         separation=cfg.separation,
         signal_speed=cfg.signal_speed,
     )
-
-    flight = cfg.flight_time
-    v = cfg.physics.beam_speed
-    c = cfg.physics.light_speed
-    prepared: list[PreparedPair] = []
-    for i in range(n):
-        t_launch = launches[i]
-        t_entry = t_launch + flight
-        seen_a = effective_settings(Side.L, t_entry, timelines, cfg.mode)
-        seen_b = effective_settings(Side.R, t_entry, timelines, cfg.mode)
-        switched_a = timeline_a.has_change_in(t_launch, t_entry)
-        switched_b = timeline_b.has_change_in(t_launch, t_entry)
-        prepared.append(PreparedPair(
-            pair_id=i,
-            z_l0=float(z_l0[i]),
-            z_r0=float(z_r0[i]),
-            setting_a=seen_a.angle_a,
-            setting_b=seen_b.angle_b,
-            a_index=_menu_index(cfg.angles_a, seen_a.angle_a),
-            b_index=_menu_index(cfg.angles_b, seen_b.angle_b),
-            seen_by_a=seen_a,
-            seen_by_b=seen_b,
-            switched_a=switched_a,
-            switched_b=switched_b,
-            survived_a=detector_loss(
-                switched_a, cfg.efficiency, v, c, cfg.kick_threshold),
-            survived_b=detector_loss(
-                switched_b, cfg.efficiency, v, c, cfg.kick_threshold),
-        ))
-    return prepared
+    t_entry = launches + cfg.flight_time
+    setting_a, b_seen_by_a = seen_angles(Side.L, t_entry, timelines, cfg.mode)
+    a_seen_by_b, setting_b = seen_angles(Side.R, t_entry, timelines, cfg.mode)
+    switched_a = timelines.side_a.changes_in(launches, t_entry)
+    switched_b = timelines.side_b.changes_in(launches, t_entry)
+    lost_on_switch = not detector_loss(True, cfg.efficiency, cfg.physics.beam_speed,
+                                       cfg.physics.light_speed, cfg.kick_threshold)
+    return PairTable(
+        pair_id=np.arange(n),
+        z_l0=z_l0,
+        z_r0=z_r0,
+        setting_a=setting_a,
+        setting_b=setting_b,
+        a_index=_menu_indices(cfg.angles_a, setting_a),
+        b_index=_menu_indices(cfg.angles_b, setting_b),
+        b_seen_by_a=b_seen_by_a,
+        a_seen_by_b=a_seen_by_b,
+        switched_a=switched_a,
+        switched_b=switched_b,
+        survived_a=~(switched_a & lost_on_switch),
+        survived_b=~(switched_b & lost_on_switch),
+    )
 
 
 def view_systems(
-    prepared: list[PreparedPair],
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    table: PairTable,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """One transport system per distinct view of each pair.
 
     A pair whose two observers attribute the same settings gets one
-    system; otherwise each view gets its own. Returns the systems'
-    (z_l0, z_r0, s2, c2) arrays, the system of each pair's A view and
-    of its B view, and a (pair_id, view) label per system.
+    system; otherwise its A view and then its B view get one each, in
+    pair order. Returns the systems' (z_l0, z_r0, s2, c2) arrays and the
+    system of each pair's A view and of its B view.
     """
-    rows: list[tuple[float, float, float, float]] = []
-    labels: list[tuple[int, str]] = []
-    a_sys = np.empty(len(prepared), dtype=np.int64)
-    b_sys = np.empty(len(prepared), dtype=np.int64)
+    dual = (table.a_seen_by_b != table.setting_a) | (table.b_seen_by_a != table.setting_b)
+    count = 1 + dual
+    a_sys = np.cumsum(count) - count
+    b_sys = a_sys + count - 1
+    m = int(count.sum())
+    angle_a = np.empty(m)
+    angle_b = np.empty(m)
+    angle_a[a_sys], angle_b[a_sys] = table.setting_a, table.b_seen_by_a
+    angle_a[b_sys], angle_b[b_sys] = table.a_seen_by_b, table.setting_b
+    # SettingPair.weights() (math.sin) once per distinct setting pair and
+    # gathered: np.sin may differ from it in the last bit
+    distinct, inverse = np.unique(np.stack((angle_a, angle_b), axis=1), axis=0,
+                                  return_inverse=True)
+    weights = np.array([SettingPair(a, b).weights() for a, b in distinct.tolist()])
+    s2, c2 = weights.reshape(-1, 2)[inverse.reshape(-1)].T
+    # copy makes each weight column contiguous
+    systems = (np.repeat(table.z_l0, count), np.repeat(table.z_r0, count),
+               s2.copy(), c2.copy())
+    return systems, a_sys, b_sys
 
-    def add_system(pair: PreparedPair, settings: SettingPair, view: str) -> int:
-        rows.append((pair.z_l0, pair.z_r0, *settings.weights()))
-        labels.append((pair.pair_id, view))
-        return len(rows) - 1
 
-    for j, pair in enumerate(prepared):
-        if pair.seen_by_b == pair.seen_by_a:
-            a_sys[j] = b_sys[j] = add_system(pair, pair.seen_by_a, "A and B")
-        else:
-            a_sys[j] = add_system(pair, pair.seen_by_a, "A")
-            b_sys[j] = add_system(pair, pair.seen_by_b, "B")
-    # reshape keeps no pairs four columns wide; copy makes each column contiguous
-    columns = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
-    return tuple(columns), a_sys, b_sys, labels
+def _system_label(index: int, a_sys: np.ndarray, b_sys: np.ndarray) -> str:
+    pair = int(np.searchsorted(a_sys, index, side="right")) - 1
+    if a_sys[pair] == b_sys[pair]:
+        return f"pair {pair}, view A and B"
+    return f"pair {pair}, view {'A' if index == a_sys[pair] else 'B'}"
 
 
-def integrate_views(integrate, systems: tuple[np.ndarray, ...],
-                    labels: list[tuple[int, str]], mode: InformationMode,
+def integrate_views(integrate, systems: tuple[np.ndarray, ...], a_sys: np.ndarray,
+                    b_sys: np.ndarray, mode: InformationMode,
                     coeff: DerivedCoefficients, icfg: IntegrationConfig, lo: int = 0):
     """``integrate(*systems, coeff, icfg)``, with a divergence named by pair and view.
 
     ``systems`` may be a slice of the arrays ``view_systems`` returned,
-    starting at system ``lo``.
+    starting at system ``lo``; ``a_sys`` and ``b_sys`` are whole.
     """
     try:
         return integrate(*systems, coeff, icfg)
     except IntegrationDiverged as err:
         index = lo + (err.system_index if err.system_index is not None else 0)
-        pair_id, view = labels[index]
         raise IntegrationDiverged(
             step=err.step, system_index=index,
-            detail=f"pair {pair_id}, view {view}, {mode.value} mode") from err
+            detail=f"{_system_label(index, a_sys, b_sys)}, {mode.value} mode") from err
 
 
 def _transport_all(
-    prepared: list[PreparedPair],
+    table: PairTable,
     cfg: ExperimentConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every needed view; returns per-pair outcome arrays.
@@ -574,67 +597,38 @@ def _transport_all(
     get one system each. Systems go through the retiring transport in
     fixed-size chunks, which only bound the working memory: systems are
     independent, so the chunk size changes no result. Only the exit
-    signs are needed.
+    signs are needed; ties go up, as in ``sign_outcome``.
     """
     coeff = derive_coefficients(cfg.physics)
     icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time, record_every=0)
-    systems, a_sys, b_sys, labels = view_systems(prepared)
-    m = len(labels)
+    systems, a_sys, b_sys = view_systems(table)
+    m = len(systems[0])
     out_l = np.empty(m)
     out_r = np.empty(m)
     for lo in range(0, m, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, m)
         out_l[lo:hi], out_r[lo:hi] = integrate_views(
-            integrate_retiring, tuple(a[lo:hi] for a in systems), labels,
+            integrate_retiring, tuple(a[lo:hi] for a in systems), a_sys, b_sys,
             cfg.mode, coeff, icfg, lo)
-
-    outcome_a = np.empty(len(prepared), dtype=np.int64)
-    outcome_b = np.empty(len(prepared), dtype=np.int64)
-    for j in range(len(prepared)):
-        outcome_a[j] = sign_outcome(float(out_l[a_sys[j]]))
-        outcome_b[j] = sign_outcome(float(out_r[b_sys[j]]))
-    return outcome_a, outcome_b
+    return np.where(out_l[a_sys] >= 0.0, 1, -1), np.where(out_r[b_sys] >= 0.0, 1, -1)
 
 
 def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute a full run and aggregate its statistics."""
     start = time.perf_counter()
-    prepared = prepare_pairs(cfg)
-    outcome_a, outcome_b = _transport_all(prepared, cfg)
+    table = prepare_pairs(cfg)
+    outcome_a, outcome_b = _transport_all(table, cfg)
+    table = replace(table, outcome_a=outcome_a, outcome_b=outcome_b)
 
-    records: list[PairRecord] = []
-    cell_counts = [0, 0, 0, 0]
-    cell_sums = [0, 0, 0, 0]
-    cell_launches = [0, 0, 0, 0]
-    singles_a = 0
-    singles_b = 0
-    coincidences = 0
-    for j, pair in enumerate(prepared):
-        o_a = int(outcome_a[j])
-        o_b = int(outcome_b[j])
-        records.append(PairRecord(
-            pair_id=pair.pair_id,
-            setting_a=pair.setting_a,
-            setting_b=pair.setting_b,
-            a_index=pair.a_index,
-            b_index=pair.b_index,
-            seen_by_a=pair.seen_by_a,
-            seen_by_b=pair.seen_by_b,
-            outcome_a=o_a,
-            outcome_b=o_b,
-            survived_a=pair.survived_a,
-            survived_b=pair.survived_b,
-        ))
-        singles_a += pair.survived_a
-        singles_b += pair.survived_b
-        if pair.a_index >= 0 and pair.b_index >= 0:
-            cell = 2 * pair.a_index + pair.b_index
-            cell_launches[cell] += 1
-            if pair.survived_a and pair.survived_b:
-                cell_counts[cell] += 1
-                cell_sums[cell] += o_a * o_b
-        if pair.survived_a and pair.survived_b:
-            coincidences += 1
+    coincident = table.survived_a & table.survived_b
+    on_menu = (table.a_index >= 0) & (table.b_index >= 0)
+    cell = 2 * table.a_index + table.b_index
+    counted = on_menu & coincident
+    cell_launches = tuple(np.bincount(cell[on_menu], minlength=4).tolist())
+    cell_counts = tuple(np.bincount(cell[counted], minlength=4).tolist())
+    # sums of +-1 products are exact in float64
+    cell_sums = tuple(np.bincount(cell[counted], weights=(outcome_a * outcome_b)[counted],
+                                  minlength=4).astype(int).tolist())
 
     if cfg.normalization is Normalization.SINGLES:
         denominators = cell_launches
@@ -643,10 +637,10 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     bell: BellEstimate | None = None
     if all(d > 0 for d in denominators):
         e_values = tuple(cell_sums[i] / denominators[i] for i in range(4))
-        s_signed, s_abs, sigma_s = chsh(e_values, tuple(denominators))
+        s_signed, s_abs, sigma_s = chsh(e_values, denominators)
         bell = BellEstimate(
             e_values=e_values,
-            n_values=tuple(denominators),
+            n_values=denominators,
             s_signed=s_signed,
             s_abs=s_abs,
             sigma_s=sigma_s,
@@ -654,14 +648,14 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         config=cfg,
-        records=tuple(records),
+        records=table,
         bell=bell,
-        cell_counts=tuple(cell_counts),
-        cell_sums=tuple(cell_sums),
-        cell_launches=tuple(cell_launches),
-        singles_a=singles_a,
-        singles_b=singles_b,
-        coincidences=coincidences,
+        cell_counts=cell_counts,
+        cell_sums=cell_sums,
+        cell_launches=cell_launches,
+        singles_a=int(table.survived_a.sum()),
+        singles_b=int(table.survived_b.sum()),
+        coincidences=int(coincident.sum()),
         switching_active=cfg.switching_active,
         runtime_s=time.perf_counter() - start,
     )
@@ -731,10 +725,7 @@ def report_json_dict(report: ExperimentReport) -> dict:
         "S_signed": s_signed,
         "S_abs": s_abs,
         "sigma_S": sigma_s,
-        "Q1": rates["Q1"],
-        "Q1p": rates["Q1p"],
-        "C2": rates["C2"],
-        "C2p": rates["C2p"],
+        **rates,
         "runtime_s": report.runtime_s,
         "seed": report.config.master_seed,
     }
@@ -746,15 +737,15 @@ EVENT_HEADER = ("pair_id,setting_A,setting_B,effective_B_seen_by_A,"
 
 def write_events_csv(report: ExperimentReport, path) -> None:
     """One line per launched pair, in launch order."""
+    t = report.records
+    columns = zip(t.pair_id.tolist(), t.setting_a.tolist(), t.setting_b.tolist(),
+                  t.b_seen_by_a.tolist(), t.a_seen_by_b.tolist(),
+                  t.outcome_a.tolist(), t.outcome_b.tolist(),
+                  t.survived_a.astype(int).tolist(), t.survived_b.astype(int).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(EVENT_HEADER + "\n")
-        for r in report.records:
-            fh.write(
-                f"{r.pair_id},{r.setting_a!r},{r.setting_b!r},"
-                f"{r.seen_by_a.angle_b!r},{r.seen_by_b.angle_a!r},"
-                f"{r.outcome_a},{r.outcome_b},"
-                f"{int(r.survived_a)},{int(r.survived_b)}\n"
-            )
+        fh.writelines(f"{i},{a!r},{b!r},{b_seen!r},{a_seen!r},{o_a},{o_b},{s_a},{s_b}\n"
+                      for i, a, b, b_seen, a_seen, o_a, o_b, s_a, s_b in columns)
 
 
 TABLE1_ROWS = (

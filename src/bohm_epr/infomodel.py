@@ -6,8 +6,9 @@ or before t = 0 so every query has an answer. ``SettingTimelines`` bundles
 both sides with the station separation and the speed at which setting
 news is allowed to travel.
 
-``effective_settings`` builds the setting pair a given side uses when it
-evaluates the guidance law at time t:
+``seen_angles`` gives the setting pair a given side uses when it
+evaluates the guidance law at each of many times t (``effective_settings``
+is its one-element form):
 
 * its own angle is always the current one, ``angle_at(t)``;
 * in nonlocal mode the partner angle is also current;
@@ -24,10 +25,11 @@ the far side for a whole pair flight.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 from .physconst import LIGHT_SPEED
@@ -51,44 +53,47 @@ class SideTimeline:
     """
 
     entries: tuple[tuple[float, float], ...]
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ConfigError("timeline needs at least one entry")
-        times = []
-        prev_t = -math.inf
-        prev_angle = None
-        for entry_time, angle in self.entries:
-            if math.isnan(entry_time) or not math.isfinite(angle):
-                raise ConfigError("timeline entries must be (time, finite angle)")
-            if times and entry_time <= prev_t:
-                raise ConfigError("timeline times must be strictly increasing")
-            if prev_angle is not None and angle == prev_angle:
-                raise ConfigError("consecutive timeline angles must differ")
-            times.append(entry_time)
-            prev_t = entry_time
-            prev_angle = angle
+        times, angles = np.array(self.entries, dtype=float).reshape(-1, 2).T.copy()
+        if np.isnan(times).any() or not np.isfinite(angles).all():
+            raise ConfigError("timeline entries must be (time, finite angle)")
+        if (times[1:] <= times[:-1]).any():
+            raise ConfigError("timeline times must be strictly increasing")
+        if (angles[1:] == angles[:-1]).any():
+            raise ConfigError("consecutive timeline angles must differ")
         if times[0] > 0.0:
             raise ConfigError("timeline must start at or before t = 0")
-        object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_angles", angles)
+
+    def angles_at(self, t: np.ndarray) -> np.ndarray:
+        """The angle in force at each time t (change points take effect at t)."""
+        if np.isnan(t).any():
+            raise ConfigError("query time must not be NaN")
+        idx = np.searchsorted(self._times, t, side="right") - 1
+        if (idx < 0).any():
+            raise ConfigError(f"no timeline entry at or before t = {float(t[idx < 0][0])!r}")
+        return self._angles[idx]
+
+    def changes_in(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Whether any switch time falls inside each closed window [t0, t1]."""
+        if (t1 < t0).any():
+            raise ConfigError("window must be ordered")
+        return (np.searchsorted(self._times, t1, side="right")
+                > np.searchsorted(self._times, t0, side="left"))
 
     def angle_at(self, t: float) -> float:
-        """The angle in force at time t (change points take effect at t)."""
-        if math.isnan(t):
-            raise ConfigError("query time must not be NaN")
-        idx = bisect.bisect_right(self._times, t) - 1
-        if idx < 0:
-            raise ConfigError(f"no timeline entry at or before t = {t!r}")
-        return self.entries[idx][1]
+        """One-element ``angles_at``."""
+        return float(self.angles_at(np.array([t]))[0])
 
     def has_change_in(self, t0: float, t1: float) -> bool:
-        """True when any switch time falls inside the closed window [t0, t1]."""
-        if t1 < t0:
-            raise ConfigError("window must be ordered")
-        lo = bisect.bisect_left(self._times, t0)
-        hi = bisect.bisect_right(self._times, t1)
-        return hi > lo
+        """One-element ``changes_in``."""
+        return bool(self.changes_in(np.array([t0]), np.array([t1]))[0])
 
 
 def static_timeline(angle: float) -> SideTimeline:
@@ -117,22 +122,27 @@ class SettingTimelines:
         return self.separation / self.signal_speed
 
 
+def seen_angles(
+    side: Side,
+    t_eval: np.ndarray,
+    timelines: SettingTimelines,
+    mode: InformationMode,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (angle_a, angle_b) one side attributes to the apparatus at each ``t_eval``."""
+    if not np.isfinite(t_eval).all():
+        raise ConfigError("t_eval must be finite")
+    t_partner = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
+    if side is Side.L:
+        return timelines.side_a.angles_at(t_eval), timelines.side_b.angles_at(t_partner)
+    return timelines.side_a.angles_at(t_partner), timelines.side_b.angles_at(t_eval)
+
+
 def effective_settings(
     side: Side,
     t_eval: float,
     timelines: SettingTimelines,
     mode: InformationMode,
 ) -> SettingPair:
-    """The setting pair one side attributes to the apparatus at ``t_eval``."""
-    if not math.isfinite(t_eval):
-        raise ConfigError("t_eval must be finite")
-    t_partner = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
-    if side is Side.L:
-        return SettingPair(
-            angle_a=timelines.side_a.angle_at(t_eval),
-            angle_b=timelines.side_b.angle_at(t_partner),
-        )
-    return SettingPair(
-        angle_a=timelines.side_a.angle_at(t_partner),
-        angle_b=timelines.side_b.angle_at(t_eval),
-    )
+    """One-element ``seen_angles``, as the setting pair."""
+    angle_a, angle_b = seen_angles(side, np.array([t_eval]), timelines, mode)
+    return SettingPair(angle_a=float(angle_a[0]), angle_b=float(angle_b[0]))

@@ -22,7 +22,7 @@ width (1/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -59,15 +59,7 @@ class RawPhysicalInputs:
     light_speed: float = LIGHT_SPEED
 
     def __post_init__(self) -> None:
-        for name in (
-            "magnetic_moment",
-            "mass",
-            "packet_width",
-            "field_gradient",
-            "magnet_length",
-            "beam_speed",
-            "light_speed",
-        ):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             _require(isinstance(value, (int, float)) and math.isfinite(value),
                      f"{name} must be a finite number, got {value!r}")

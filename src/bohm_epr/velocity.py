@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +125,15 @@ def stable_ratio(u: float, v: float, s2: float, c2: float, side: Side) -> float:
     """Coupling ratio of one side for given hyperbolic arguments and weights.
 
     Accepts arguments of any magnitude (infinities included); rejects NaN.
-    A one-element call of ``ratio_pair_batch``.
+    A one-element call of ``ratio_pair_batch``. An infinite argument is
+    clipped to the largest finite float, which has the same limit; the
+    exponents of such an argument may overflow to -inf, where exp is
+    exactly 0, so those overflows are not reported.
     """
     _check_ratio_args(u, v, s2, c2)
-    rl, rr = ratio_pair_batch(np.array([u]), np.array([v]), np.array([s2]), np.array([c2]))
+    u, v = (np.clip(np.array([x]), -sys.float_info.max, sys.float_info.max) for x in (u, v))
+    with np.errstate(over="ignore", under="ignore"):
+        rl, rr = ratio_pair_batch(u, v, np.array([s2]), np.array([c2]))
     return float(rl[0] if side is Side.L else rr[0])
 
 

@@ -344,3 +344,11 @@ def test_dump_trajectories_divergence_is_a_numerical_failure(tmp_path, capsys,
 def test_dump_trajectories_rejects_bad_cadence(tmp_path):
     assert main(["dump-trajectories", "--record-every", "0",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_dump_trajectories_rejects_fewer_than_one_pair(tmp_path, capsys, pairs):
+    out = tmp_path / "dump"
+    assert main(["dump-trajectories", "--pairs", pairs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --pairs")
+    assert not (out / "trajectories.csv").exists()

@@ -1,10 +1,15 @@
 """Run protocol, losses, CHSH bookkeeping, and count rates."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bohm_epr.experiment as experiment_mod
 from bohm_epr import (
@@ -429,3 +434,111 @@ def test_table1_structure():
     for row in rows:
         assert abs(row.bell.s_signed) <= 4.0
         assert row.bell.s_abs == abs(row.bell.s_signed)
+
+
+# sha256 of report.json (without runtime_s) and of events.csv for three
+# 200-pair runs; both files hold only angles, integer outcomes and ratios
+# of integer counts, so they pin the whole per-pair path bit for bit
+GOLDEN_RUNS = {
+    "nonlocal_efficient": (
+        dict(master_seed=2718),
+        "3e2f6bc6ef6273076318e1306fd60a569f6cf0a5633ba6b73eb22a98b8028469",
+        "af4c5df0fa58b7386f5d5de424af9430cf286e1b83523fcc45277d3ef8a0db2e"),
+    "local_inefficient_rates": (
+        dict(master_seed=3141, mode=InformationMode.LOCAL,
+             efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
+             normalization=Normalization.COINCIDENCES),
+        "f20973446b2f703488736b7492566891055063898a89be35e42575863796198e",
+        "b43aa51b74843a42952c78f0e74a59dc8f13402e5f5123e9b0695b65b1d52b3e"),
+    "explicit_off_menu": (
+        dict(master_seed=1618, mode=InformationMode.LOCAL,
+             switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+             explicit_a=((-math.inf, 0.0), (0.6, 0.3), (1.2, math.pi / 2.0))),
+        "b83b09ca234f4478316d692ff094f26c041dda166d99ef780ce7856758f809b8",
+        "abfd0e1c40388dd1974ced925f20d1dd23cca6ee9fcdca9f0b765f5cd6d80fea"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_report_and_events(name, tmp_path):
+    fields, report_sha, events_sha = GOLDEN_RUNS[name]
+    cfg = ExperimentConfig(n_pairs=200, **fields)
+    report = run_epr(cfg)
+    if name == "local_inefficient_rates":
+        # attached as run-epr --rates does
+        rates = count_rates(report, run_epr(quiescent_config(cfg)))
+        report = replace(report, bell=report.bell.with_rates(rates))
+    doc = report_json_dict(report)
+    doc.pop("runtime_s")
+    path = tmp_path / "events.csv"
+    write_events_csv(report, path)
+    assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == report_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == events_sha
+
+
+MENU_A = ExperimentConfig().angles_a
+MENU_B = ExperimentConfig().angles_b
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(4, 60))
+    fields = dict(
+        n_pairs=n,
+        master_seed=draw(st.integers(0, 2**32)),
+        mode=draw(st.sampled_from(InformationMode)),
+        efficiency=draw(st.sampled_from(Efficiency)),
+        normalization=draw(st.sampled_from(Normalization)),
+        kick_threshold=0.0,
+    )
+    for side, menu in (("a", MENU_A), ("b", MENU_B)):
+        policy = draw(st.sampled_from(SwitchPolicy))
+        fields[f"switch_policy_{side}"] = policy
+        if policy is SwitchPolicy.EXPLICIT_LIST:
+            # menu angles plus one off-menu angle, switching inside the run
+            pool = (*menu, 0.3)
+            times = sorted(set(draw(st.lists(st.floats(0.0, n * 1.0e-2), max_size=4))))
+            entries = [(-math.inf, draw(st.sampled_from(pool)))]
+            for t in times:
+                entries.append((t, draw(st.sampled_from(
+                    [a for a in pool if a != entries[-1][1]]))))
+            fields[f"explicit_{side}"] = tuple(entries)
+    return ExperimentConfig(**fields)
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        return [leaf for value in doc.values() for leaf in _leaves(value)]
+    if isinstance(doc, list):
+        return [leaf for value in doc for leaf in _leaves(value)]
+    return [doc]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_aggregation_matches_a_recount_at_every_chunk_size(cfg):
+    docs = []
+    for chunk in (1, 7, 4096):
+        with mock.patch.object(experiment_mod, "_BATCH_CHUNK", chunk):
+            report = run_epr(cfg)
+        launches, counts, sums = [0] * 4, [0] * 4, [0] * 4
+        for r in report.records:
+            assert r.outcome_a in (-1, 1) and r.outcome_b in (-1, 1)
+            if r.a_index >= 0 and r.b_index >= 0:
+                cell = 2 * r.a_index + r.b_index
+                launches[cell] += 1
+                if r.coincident:
+                    counts[cell] += 1
+                    sums[cell] += r.outcome_a * r.outcome_b
+        assert report.cell_launches == tuple(launches)
+        assert report.cell_counts == tuple(counts)
+        assert report.cell_sums == tuple(sums)
+        assert report.singles_a == sum(r.survived_a for r in report.records)
+        assert report.singles_b == sum(r.survived_b for r in report.records)
+        assert report.coincidences == sum(r.coincident for r in report.records)
+        doc = report_json_dict(report)
+        doc.pop("runtime_s")
+        assert all(type(leaf) in (int, float, str, type(None)) for leaf in _leaves(doc))
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]

@@ -74,6 +74,23 @@ def test_ratio_saturates_cleanly_past_double_range():
     assert 0.999 < r <= 1.0
 
 
+@pytest.mark.parametrize("u,v,s2,c2,rl,rr", [
+    (math.inf, 0.0, 0.5, 0.5, 1.0, 1.0),
+    (-math.inf, 0.0, 0.5, 0.5, -1.0, -1.0),
+    (0.0, -math.inf, 0.5, 0.5, -1.0, 1.0),
+    (0.0, math.inf, 0.0, 1.0, 1.0, -1.0),
+    (math.inf, 5.0, 1.0, 0.0, 1.0, 1.0),
+    # both arguments +inf: the two branches keep their weights
+    (math.inf, math.inf, 0.5, 0.5, 1.0, 0.0),
+    (math.inf, math.inf, 0.3, 0.7, 1.0, (0.3 - 0.7) / (0.3 + 0.7)),
+    (-math.inf, math.inf, 0.3, 0.7, (0.7 - 0.3) / (0.3 + 0.7), -1.0),
+])
+def test_ratio_limits_at_infinite_arguments(u, v, s2, c2, rl, rr):
+    with np.errstate(all="raise"):
+        assert stable_ratio(u, v, s2, c2, Side.L) == pytest.approx(rl, rel=1e-15, abs=1e-300)
+        assert stable_ratio(u, v, s2, c2, Side.R) == pytest.approx(rr, rel=1e-15, abs=1e-300)
+
+
 def test_ratio_rejects_nan_and_bad_weights():
     with pytest.raises(ConfigError):
         stable_ratio(math.nan, 0.0, 0.5, 0.5, Side.L)
