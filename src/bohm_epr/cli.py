@@ -11,12 +11,14 @@ Subcommands:
 * ``dump-trajectories``: recorded per-view trajectories for the first
   few pairs of a run.
 
-Configuration comes from an INI file with flat key = value lines in
-sections [physics], [integration], [experiment]; every flag overrides
-its file counterpart, and the master seed resolves flag, then
-BOHM_EPR_SEED, then file, then the built-in default. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical or estimation
-failures.
+Configuration comes from an INI file with flat key = value lines. The
+keys are the field names of ExperimentConfig, in field order: the fields
+of RawPhysicalInputs under [physics], dt and workers under
+[integration], the rest under [experiment], where master_seed is written
+seed. Every flag overrides its file counterpart, and the master seed
+resolves flag, then BOHM_EPR_SEED, then file, then the built-in default.
+Exit codes: 0 on success, 2 for configuration problems and bad paths, 3
+for numerical or estimation failures.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ import argparse
 import configparser
 import dataclasses
 import datetime
+import enum
+import functools
 import hashlib
-import io
 import json
 import math
 import os
 import sys
+import typing
 
 from . import __version__
 from .errors import ConfigError, EstimationError, IntegrationDiverged
@@ -39,7 +43,7 @@ from .experiment import (
     Efficiency,
     ExperimentConfig,
     Normalization,
-    SwitchPolicy,
+    check_kick_threshold,
     count_rates,
     integrate_views,
     kick_ratio,
@@ -65,22 +69,12 @@ from .physconst import RawPhysicalInputs, derive_coefficients
 
 ENV_SEED = "BOHM_EPR_SEED"
 
-_PHYSICS_KEYS = (
-    "magnetic_moment", "mass", "packet_width", "field_gradient",
-    "magnet_length", "beam_speed", "light_speed",
-)
-_INTEGRATION_KEYS = ("dt", "workers")
-_EXPERIMENT_KEYS = (
-    "n_pairs", "angles_a", "angles_b", "mode", "efficiency", "normalization",
-    "kick_threshold", "seed", "separation", "source_to_magnet", "pair_period",
-    "signal_speed", "switch_policy_a", "switch_policy_b",
-    "explicit_a", "explicit_b",
-)
-_SECTIONS = {
-    "physics": _PHYSICS_KEYS,
-    "integration": _INTEGRATION_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-}
+# The INI format is the field order of ExperimentConfig, with the fields of
+# its nested RawPhysicalInputs under [physics]; only these facts are written
+# out by hand.
+_SECTIONS = ("physics", "integration", "experiment")
+_INTEGRATION_FIELDS = ("dt", "workers")
+_INI_KEYS = {"master_seed": "seed"}
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -104,10 +98,6 @@ def _check_seed(seed: int, where: str) -> int:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{where} must fit in an unsigned 64-bit integer")
     return seed
-
-
-def _parse_seed(text: str, where: str) -> int:
-    return _check_seed(_parse_int(text, where), where)
 
 
 def _parse_pair_of_angles(text: str, where: str) -> tuple[float, float]:
@@ -141,6 +131,57 @@ def _parse_enum(enum_cls, text: str, where: str):
         raise ConfigError(f"{where}: must be one of {allowed}, got {text!r}") from err
 
 
+@dataclasses.dataclass(frozen=True)
+class _Codec:
+    """How one kind of value is read from and written to INI text."""
+
+    parse: typing.Callable[[str, str], typing.Any]   # (text, where) -> value
+    format: typing.Callable[[typing.Any], str]
+
+
+_CODECS = {
+    float: _Codec(_parse_float, repr),
+    int: _Codec(_parse_int, repr),
+    tuple[float, float]: _Codec(_parse_pair_of_angles, lambda menu: f"{menu[0]!r}, {menu[1]!r}"),
+    tuple[tuple[float, float], ...]: _Codec(
+        _parse_entries, lambda entries: ";".join(f"{t!r}:{a!r}" for t, a in entries)),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    """One config field: its INI section and key, its name and its type."""
+
+    section: str
+    key: str
+    name: str
+    kind: typing.Any
+
+    @property
+    def codec(self) -> _Codec:
+        if isinstance(self.kind, type) and issubclass(self.kind, enum.Enum):
+            return _Codec(functools.partial(_parse_enum, self.kind), lambda member: member.value)
+        return _CODECS[self.kind]
+
+    def get(self, cfg: ExperimentConfig):
+        return getattr(cfg.physics if self.section == "physics" else cfg, self.name)
+
+
+def _rows(cls, section: str | None = None):
+    """The rows of ``cls`` in field order; a nested dataclass field is a section."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _rows(kind, field.name)
+            continue
+        home = "integration" if field.name in _INTEGRATION_FIELDS else "experiment"
+        yield _Row(section or home, _INI_KEYS.get(field.name, field.name), field.name, kind)
+
+
+_SCHEMA = tuple(_rows(ExperimentConfig))
+
+
 def read_config_text(text: str) -> dict:
     """Parse INI text into a flat {section.key: string} dict, keys validated."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -149,133 +190,70 @@ def read_config_text(text: str) -> dict:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"config file is not valid INI: {err}") from err
+    known = {f"{row.section}.{row.key}" for row in _SCHEMA}
     values: dict[str, str] = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if f"{section}.{key}" not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[f"{section}.{key}"] = raw
     return values
+
+
+def _resolve_seed(flag: int | None, file_seed: int | None, env) -> tuple[int, str]:
+    """The master seed and its source: flag, then BOHM_EPR_SEED, then file, then default.
+
+    Every source that is set is checked, whichever one wins.
+    """
+    seed, source = DEFAULT_SEED, "default"
+    if file_seed is not None:
+        seed, source = _check_seed(file_seed, "config key experiment.seed"), "file"
+    if env.get(ENV_SEED):
+        where = f"environment variable {ENV_SEED}"
+        seed, source = _check_seed(_parse_int(env[ENV_SEED], where), where), "environment"
+    if flag is not None:
+        seed, source = _check_seed(flag, "--seed"), "flag"
+    return seed, source
 
 
 def build_config(values: dict, overrides: dict | None = None,
                  env: dict | None = None) -> tuple[ExperimentConfig, dict]:
     """Turn flat file values plus flag overrides into an ExperimentConfig.
 
+    ``overrides`` maps INI keys to typed values and beats the file.
     Returns the config and a provenance dict recording which flags took
     effect and where the seed came from.
     """
     overrides = overrides or {}
     env = os.environ if env is None else env
-
-    def fval(key: str, kind, default):
-        if key in values:
-            where = f"config key {key}"
-            if kind is float:
-                return _parse_float(values[key], where)
-            if kind is int:
-                return _parse_int(values[key], where)
-            return kind(values[key], where)
-        return default
-
-    physics_defaults = RawPhysicalInputs()
-    physics = RawPhysicalInputs(**{
-        key: fval(f"physics.{key}", float, getattr(physics_defaults, key))
-        for key in _PHYSICS_KEYS})
-
-    defaults = ExperimentConfig()
-
-    seed_source = "default"
-    seed = DEFAULT_SEED
-    if "experiment.seed" in values:
-        seed = _parse_seed(values["experiment.seed"], "config key experiment.seed")
-        seed_source = "file"
-    if env.get(ENV_SEED):
-        seed = _parse_seed(env[ENV_SEED], f"environment variable {ENV_SEED}")
-        seed_source = "environment"
-    if overrides.get("seed") is not None:
-        seed = overrides["seed"]
-        seed_source = "flag"
-
-    def angles(key, default):
-        return fval(key, _parse_pair_of_angles, default)
-
-    cfg = ExperimentConfig(
-        physics=physics,
-        n_pairs=fval("experiment.n_pairs", int, defaults.n_pairs),
-        angles_a=angles("experiment.angles_a", defaults.angles_a),
-        angles_b=angles("experiment.angles_b", defaults.angles_b),
-        mode=fval("experiment.mode",
-                  lambda t, w: _parse_enum(InformationMode, t, w), defaults.mode),
-        efficiency=fval("experiment.efficiency",
-                        lambda t, w: _parse_enum(Efficiency, t, w), defaults.efficiency),
-        normalization=fval("experiment.normalization",
-                           lambda t, w: _parse_enum(Normalization, t, w),
-                           defaults.normalization),
-        kick_threshold=fval("experiment.kick_threshold", float, defaults.kick_threshold),
-        master_seed=seed,
-        dt=fval("integration.dt", float, defaults.dt),
-        separation=fval("experiment.separation", float, defaults.separation),
-        source_to_magnet=fval("experiment.source_to_magnet", float,
-                              defaults.source_to_magnet),
-        pair_period=fval("experiment.pair_period", float, defaults.pair_period),
-        signal_speed=fval("experiment.signal_speed", float, defaults.signal_speed),
-        switch_policy_a=fval("experiment.switch_policy_a",
-                             lambda t, w: _parse_enum(SwitchPolicy, t, w),
-                             defaults.switch_policy_a),
-        switch_policy_b=fval("experiment.switch_policy_b",
-                             lambda t, w: _parse_enum(SwitchPolicy, t, w),
-                             defaults.switch_policy_b),
-        explicit_a=fval("experiment.explicit_a", _parse_entries, defaults.explicit_a),
-        explicit_b=fval("experiment.explicit_b", _parse_entries, defaults.explicit_b),
-        workers=fval("integration.workers", int, defaults.workers),
-    )
-
-    applied = {}
-    for name in ("n_pairs", "mode", "efficiency", "normalization", "workers"):
-        value = overrides.get(name)
-        if value is not None:
-            applied[name] = value.value if hasattr(value, "value") else value
-            cfg = dataclasses.replace(cfg, **{name: value})
+    chosen: dict = {}
+    applied: dict = {}
+    for row in _SCHEMA:
+        name = f"{row.section}.{row.key}"
+        if name in values:
+            chosen[row.name] = row.codec.parse(values[name], f"config key {name}")
+        flag = overrides.get(row.key)
+        if flag is not None and row.key != "seed":
+            chosen[row.name] = flag
+            applied[row.key] = flag.value if isinstance(flag, enum.Enum) else flag
+    seed, seed_source = _resolve_seed(overrides.get("seed"), chosen.pop("master_seed", None),
+                                      env)
     if seed_source == "flag":
         applied["seed"] = seed
-    provenance = {"seed_source": seed_source, "flag_overrides": applied}
-    return cfg, provenance
+    physics = RawPhysicalInputs(**{row.name: chosen.pop(row.name) for row in _SCHEMA
+                                   if row.section == "physics" and row.name in chosen})
+    cfg = ExperimentConfig(physics=physics, master_seed=seed, **chosen)
+    return cfg, {"seed_source": seed_source, "flag_overrides": applied}
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Render a config as INI text; parsing it back reproduces the config."""
-    def entries_text(entries):
-        return ";".join(f"{t!r}:{a!r}" for t, a in entries)
-
-    p = cfg.physics
-    out = io.StringIO()
-    out.write("[physics]\n")
-    for key in _PHYSICS_KEYS:
-        out.write(f"{key} = {getattr(p, key)!r}\n")
-    out.write("\n[integration]\n")
-    out.write(f"dt = {cfg.dt!r}\n")
-    out.write(f"workers = {cfg.workers}\n")
-    out.write("\n[experiment]\n")
-    out.write(f"n_pairs = {cfg.n_pairs}\n")
-    out.write(f"angles_a = {cfg.angles_a[0]!r}, {cfg.angles_a[1]!r}\n")
-    out.write(f"angles_b = {cfg.angles_b[0]!r}, {cfg.angles_b[1]!r}\n")
-    out.write(f"mode = {cfg.mode.value}\n")
-    out.write(f"efficiency = {cfg.efficiency.value}\n")
-    out.write(f"normalization = {cfg.normalization.value}\n")
-    out.write(f"kick_threshold = {cfg.kick_threshold!r}\n")
-    out.write(f"seed = {cfg.master_seed}\n")
-    out.write(f"separation = {cfg.separation!r}\n")
-    out.write(f"source_to_magnet = {cfg.source_to_magnet!r}\n")
-    out.write(f"pair_period = {cfg.pair_period!r}\n")
-    out.write(f"signal_speed = {cfg.signal_speed!r}\n")
-    out.write(f"switch_policy_a = {cfg.switch_policy_a.value}\n")
-    out.write(f"switch_policy_b = {cfg.switch_policy_b.value}\n")
-    out.write(f"explicit_a = {entries_text(cfg.explicit_a)}\n")
-    out.write(f"explicit_b = {entries_text(cfg.explicit_b)}\n")
-    return out.getvalue()
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{row.key} = {row.codec.format(row.get(cfg))}\n"
+                                   for row in _SCHEMA if row.section == section)
+        for section in _SECTIONS)
 
 
 def parse_config(cfg_text: str, overrides: dict | None = None,
@@ -322,36 +300,30 @@ def _utc_now() -> str:
 
 
 def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
     return path
 
 
 def _load_file_values(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from err
+    return read_config_text(text)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = _check_seed(args.seed, "--seed")
-    if getattr(args, "pairs", None) is not None:
-        overrides["n_pairs"] = args.pairs
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = InformationMode(args.mode)
-    if getattr(args, "efficiency", None) is not None:
-        overrides["efficiency"] = Efficiency(args.efficiency)
-    if getattr(args, "normalization", None) is not None:
-        overrides["normalization"] = Normalization(args.normalization)
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-        overrides["workers"] = args.workers
-    return overrides
+    """The flags given, by INI key: each flag's dest is the key it overrides."""
+    return {row.key: row.kind(getattr(args, row.key)) for row in _SCHEMA
+            if getattr(args, row.key, None) is not None}
 
 
 def _cmd_run_epr(args: argparse.Namespace) -> int:
@@ -374,7 +346,8 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     if args.events:
         write_events_csv(report, os.path.join(out_dir, "events.csv"))
         files.append("events.csv")
-    write_manifest(out_dir, cfg, files, "run-epr", provenance, started)
+    write_manifest(out_dir, cfg, files, "run-epr", provenance, started,
+                   extra={"counters": {"off_menu_pairs": report.off_menu}})
 
     bell = report.bell
     if bell is not None:
@@ -391,10 +364,7 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     started = _utc_now()
-    if args.seed is not None:
-        seed, seed_source = _check_seed(args.seed, "--seed"), "flag"
-    else:
-        seed, seed_source = _env_or_default_seed()
+    seed, seed_source = _resolve_seed(args.seed, None, os.environ)
     replicates = args.replicates
     if replicates < 1:
         raise ConfigError("--replicates must be at least 1")
@@ -460,17 +430,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _env_or_default_seed() -> tuple[int, str]:
-    """The master seed from BOHM_EPR_SEED, else the default, with its source."""
-    raw = os.environ.get(ENV_SEED)
-    if raw:
-        return _parse_seed(raw, f"environment variable {ENV_SEED}"), "environment"
-    return DEFAULT_SEED, "default"
-
-
 def _cmd_kick_ratio(args: argparse.Namespace) -> int:
     ratio = kick_ratio(args.speed, args.light_speed)
-    lost = ratio >= args.threshold
+    lost = ratio >= check_kick_threshold(args.threshold, "--threshold")
     print(f"beam_speed = {args.speed!r} cm/s")
     print(f"light_speed = {args.light_speed!r} cm/s")
     print(f"kick_ratio = {ratio!r}")
@@ -513,7 +475,7 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
 def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     started = _utc_now()
     overrides = _overrides_from_args(args)
-    n_dump = args.pairs if args.pairs is not None else 4
+    n_dump = args.n_pairs if args.n_pairs is not None else 4
     if n_dump < 1:
         raise ConfigError("--pairs must be at least 1")
     overrides["n_pairs"] = max(4, n_dump)
@@ -546,7 +508,8 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="INI config file")
     sub.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    sub.add_argument("--pairs", type=int, metavar="N", help="number of pairs")
+    sub.add_argument("--pairs", dest="n_pairs", type=int, metavar="N",
+                     help="number of pairs")
     sub.add_argument("--mode", choices=[m.value for m in InformationMode],
                      help="information mode")
     sub.add_argument("--efficiency", choices=[e.value for e in Efficiency])

@@ -129,6 +129,24 @@ def detector_loss(
     return kick_ratio(beam_speed, light_speed) < kick_threshold
 
 
+def check_kick_threshold(value: float, name: str = "kick_threshold") -> float:
+    """A kick threshold must be finite and non-negative; returns it unchanged."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
+def _echo(value):
+    """JSON-safe form of a config value: enums by value, tuples as lists, -inf as text."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, RawPhysicalInputs):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return "-inf" if value == -math.inf else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one run.
@@ -166,8 +184,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be two finite angles")
             if menu[0] == menu[1]:
                 raise ConfigError(f"{name} must hold two distinct angles")
-        if not math.isfinite(self.kick_threshold) or self.kick_threshold < 0.0:
-            raise ConfigError("kick_threshold must be non-negative")
+        check_kick_threshold(self.kick_threshold)
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
         if not math.isfinite(self.separation) or self.separation < 0.0:
@@ -214,28 +231,8 @@ class ExperimentConfig:
         compatibility and changes nothing, and reports from the same
         experiment must compare equal whatever value it was given.
         """
-        def entries_list(entries):
-            return [[("-inf" if t == -math.inf else t), a] for t, a in entries]
-        return {
-            "physics": asdict(self.physics),
-            "n_pairs": self.n_pairs,
-            "angles_a": list(self.angles_a),
-            "angles_b": list(self.angles_b),
-            "mode": self.mode.value,
-            "efficiency": self.efficiency.value,
-            "normalization": self.normalization.value,
-            "kick_threshold": self.kick_threshold,
-            "master_seed": self.master_seed,
-            "dt": self.dt,
-            "separation": self.separation,
-            "source_to_magnet": self.source_to_magnet,
-            "pair_period": self.pair_period,
-            "signal_speed": self.signal_speed,
-            "switch_policy_a": self.switch_policy_a.value,
-            "switch_policy_b": self.switch_policy_b.value,
-            "explicit_a": entries_list(self.explicit_a),
-            "explicit_b": entries_list(self.explicit_b),
-        }
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)
+                if f.name != "workers"}
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,11 @@ class CountRates:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Full outcome of one run."""
+    """Full outcome of one run.
+
+    ``off_menu`` counts the pairs with a setting outside its side's menu
+    (possible only with an explicit list); they fall out of every cell.
+    """
 
     config: ExperimentConfig
     records: PairTable
@@ -386,6 +387,7 @@ class ExperimentReport:
     singles_a: int
     singles_b: int
     coincidences: int
+    off_menu: int
     switching_active: bool
     runtime_s: float
 
@@ -656,6 +658,7 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
         singles_a=int(table.survived_a.sum()),
         singles_b=int(table.survived_b.sum()),
         coincidences=int(coincident.sum()),
+        off_menu=len(table) - int(on_menu.sum()),
         switching_active=cfg.switching_active,
         runtime_s=time.perf_counter() - start,
     )

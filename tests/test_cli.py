@@ -1,8 +1,11 @@
 """Config file handling, flag precedence, artifacts, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -36,15 +39,56 @@ def clean_seed_env(monkeypatch):
     monkeypatch.delenv(ENV_SEED, raising=False)
 
 
+# emit_config(ExperimentConfig()) and its config_digest, as written before
+# the INI format was derived from the config's fields
+DEFAULT_INI = """\
+[physics]
+magnetic_moment = 9.274e-21
+mass = 1.7933400000000002e-22
+packet_width = 0.001
+field_gradient = 10000.0
+magnet_length = 30.0
+beam_speed = 10000.0
+light_speed = 29980000000.0
+
+[integration]
+dt = 1e-06
+workers = 1
+
+[experiment]
+n_pairs = 4000
+angles_a = 0.0, 1.5707963267948966
+angles_b = 0.7853981633974483, 2.356194490192345
+mode = nonlocal
+efficiency = efficient
+normalization = singles
+kick_threshold = 0.001
+seed = 12345
+separation = 100.0
+source_to_magnet = 35.0
+pair_period = 0.01
+signal_speed = 8000.0
+switch_policy_a = per_pair_random
+switch_policy_b = per_pair_random
+explicit_a = 
+explicit_b = 
+"""
+DEFAULT_DIGEST = "71a96b818e918c233d72f62b6370affb066e5aca0b481218c7c8d983139d4f44"
+
+
 def test_emit_parse_round_trip_defaults():
     cfg = ExperimentConfig()
+    assert emit_config(cfg) == DEFAULT_INI
+    assert config_digest(cfg) == DEFAULT_DIGEST
     parsed, provenance = parse_config(emit_config(cfg), env={})
     assert parsed == cfg
     assert provenance["seed_source"] == "file"
 
 
-def test_emit_parse_round_trip_nondefault():
-    cfg = ExperimentConfig(
+# each config with the sha256 of its emit_config text and its config_digest,
+# both recorded before the INI format was derived from the config's fields
+NONDEFAULT_CONFIGS = [
+    (ExperimentConfig(
         physics=RawPhysicalInputs(packet_width=2.0e-3, beam_speed=9.0e3),
         n_pairs=64,
         angles_a=(0.1, 1.2),
@@ -63,9 +107,46 @@ def test_emit_parse_round_trip_nondefault():
         explicit_a=((-math.inf, 0.1), (3.0e-2, 1.2)),
         switch_policy_b=SwitchPolicy.STATIC,
         workers=3,
-    )
-    parsed, _ = parse_config(emit_config(cfg), env={})
-    assert parsed == cfg
+    ),
+     "736d2b31827151614bc5b7b9c37a05c92222f38f2deb4fafce9248fd628d8559",
+     "e4e475a6eb81033bdc905d52edb6ec9838e3e7586cb41e058c256d2c5de840ce"),
+    # a -0.0 menu angle, a -inf first entry on B, and a different policy per side
+    (ExperimentConfig(
+        physics=RawPhysicalInputs(magnetic_moment=1.0e-20, light_speed=3.0e10,
+                                  field_gradient=0.0),
+        angles_a=(-0.0, 1.0),
+        n_pairs=5,
+        master_seed=2**64 - 1,
+        switch_policy_a=SwitchPolicy.PER_PAIR_RANDOM,
+        switch_policy_b=SwitchPolicy.EXPLICIT_LIST,
+        explicit_b=((-math.inf, -0.0), (0.25, 2.0), (1.5, 0.5)),
+        kick_threshold=0.5,
+        workers=2,
+    ),
+     "d3f835bf66f8dc8751aecf84054f197dea83432b28ada11971ce11d209cd14d0",
+     "109b192a0fa8a7f022518959375984d911f2fbce5292ccf6120ae4e2442d35fc"),
+]
+
+
+def test_emit_parse_round_trip_nondefault():
+    for cfg, text_sha, digest in NONDEFAULT_CONFIGS:
+        text = emit_config(cfg)
+        assert hashlib.sha256(text.encode()).hexdigest() == text_sha
+        assert config_digest(cfg) == digest
+        parsed, _ = parse_config(text, env={})
+        assert parsed == cfg
+        # == cannot tell -0.0 from 0.0; the emitted text can
+        assert emit_config(parsed) == text
+        assert config_digest(parsed) == digest
+
+
+def test_readme_config_block_names_every_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    parse_config(block, env={})
+    every_key = read_config_text(emit_config(ExperimentConfig()))
+    assert sorted(read_config_text(block)) == sorted(every_key)
 
 
 def test_unknown_keys_and_sections_are_rejected():
@@ -126,6 +207,14 @@ def test_kick_ratio_command(capsys):
     assert "lost" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+def test_kick_ratio_rejects_bad_threshold(capsys, threshold):
+    assert main(["kick-ratio", "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --threshold must be finite")
+
+
 def test_run_epr_writes_report_events_manifest(tmp_path):
     out = tmp_path / "run"
     code = main(["run-epr", "--pairs", "8", "--seed", "77",
@@ -146,6 +235,7 @@ def test_run_epr_writes_report_events_manifest(tmp_path):
     assert manifest["files"] == names
     assert manifest["provenance"]["flag_overrides"]["n_pairs"] == 8
     assert manifest["config_sha256"] is not None
+    assert manifest["counters"] == {"off_menu_pairs": 0}
 
     events = (out / "events.csv").read_text().splitlines()
     assert len(events) == 9
@@ -185,6 +275,52 @@ def test_run_epr_exit_codes(tmp_path):
     bad.write_text("[physics]\npacket_width = 1e-150\n")
     assert main(["run-epr", "--config", str(bad), "--pairs", "8",
                  "--out", str(tmp_path)]) == 3
+
+
+def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
+    # the golden explicit_off_menu run of test_experiment.py: 60 pairs meet
+    # the off-menu angle 0.3 on side A
+    ini = tmp_path / "offmenu.ini"
+    ini.write_text("[experiment]\nmode = local\nseed = 1618\n"
+                   "switch_policy_a = explicit_list\n"
+                   "explicit_a = -inf:0.0;0.6:0.3;1.2:1.5707963267948966\n")
+    out = tmp_path / "run"
+    assert main(["run-epr", "--config", str(ini), "--pairs", "200", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"off_menu_pairs": 60}
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = main(["run-epr", "--config", str(tmp_path), "--pairs", "4",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes("[experiment]\n# caf\u00e9\nn_pairs = 8\n".encode("latin-1"))
+    code = main(["run-epr", "--config", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["run-epr", "--pairs", "4", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: cannot create output directory")
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_table1_out_below_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["table1", "--pairs", "60", "--out", str(taken / "x")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: cannot create output directory")
 
 
 def test_table1_command(tmp_path, capsys):

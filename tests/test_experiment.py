@@ -468,6 +468,8 @@ def test_golden_report_and_events(name, tmp_path):
         # attached as run-epr --rates does
         rates = count_rates(report, run_epr(quiescent_config(cfg)))
         report = replace(report, bell=report.bell.with_rates(rates))
+    # explicit_a parks side A on 0.3, off its menu, for 60 of the 200 pairs
+    assert report.off_menu == (60 if name == "explicit_off_menu" else 0)
     doc = report_json_dict(report)
     doc.pop("runtime_s")
     path = tmp_path / "events.csv"
