@@ -44,6 +44,7 @@ from .experiment import (
     ExperimentConfig,
     Normalization,
     check_kick_threshold,
+    check_seed,
     count_rates,
     integrate_views,
     kick_ratio,
@@ -64,7 +65,7 @@ from .hooke import (
     write_spring_csv,
 )
 from .infomodel import InformationMode
-from .integrate import IntegrationConfig, integrate_batch
+from .integrate import integrate_batch
 from .physconst import RawPhysicalInputs, derive_coefficients
 
 ENV_SEED = "BOHM_EPR_SEED"
@@ -92,12 +93,6 @@ def _parse_int(text: str, where: str) -> int:
         return int(text)
     except ValueError as err:
         raise ConfigError(f"{where}: not an integer: {text!r}") from err
-
-
-def _check_seed(seed: int, where: str) -> int:
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{where} must fit in an unsigned 64-bit integer")
-    return seed
 
 
 def _parse_pair_of_angles(text: str, where: str) -> tuple[float, float]:
@@ -209,12 +204,12 @@ def _resolve_seed(flag: int | None, file_seed: int | None, env) -> tuple[int, st
     """
     seed, source = DEFAULT_SEED, "default"
     if file_seed is not None:
-        seed, source = _check_seed(file_seed, "config key experiment.seed"), "file"
+        seed, source = check_seed(file_seed, "config key experiment.seed"), "file"
     if env.get(ENV_SEED):
         where = f"environment variable {ENV_SEED}"
-        seed, source = _check_seed(_parse_int(env[ENV_SEED], where), where), "environment"
+        seed, source = check_seed(_parse_int(env[ENV_SEED], where), where), "environment"
     if flag is not None:
-        seed, source = _check_seed(flag, "--seed"), "flag"
+        seed, source = check_seed(flag, "--seed"), "flag"
     return seed, source
 
 
@@ -389,10 +384,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         replicate_s = [rows[i].bell.s_signed for rows in all_rows]
         doc = {
             "label": row.label,
-            "mode": row.mode.value,
-            "efficiency": row.efficiency.value,
-            "normalization": row.normalization.value,
-            "seed": row.seed,
+            "mode": row.config.mode.value,
+            "efficiency": row.config.efficiency.value,
+            "normalization": row.config.normalization.value,
+            "seed": row.config.master_seed,
             "S_signed": row.bell.s_signed,
             "S_abs": row.bell.s_abs,
             "sigma_S": row.bell.sigma_s,
@@ -419,7 +414,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         json.dump(table_doc, fh, indent=2)
         fh.write("\n")
     runs = [
-        {"replicate": r, "label": row.label, "seed": row.seed,
+        {"replicate": r, "label": row.label, "seed": row.config.master_seed,
          "config_sha256": config_digest(row.config)}
         for r, rows in enumerate(all_rows) for row in rows
     ]
@@ -485,8 +480,7 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out)
 
     coeff = derive_coefficients(cfg.physics)
-    icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time,
-                             record_every=args.record_every)
+    icfg = cfg.transport_grid(args.record_every)
     table = prepare_pairs(cfg, limit=n_dump)
     systems, a_sys, b_sys = view_systems(table)
     z_l, z_r = integrate_views(integrate_batch, systems, a_sys, b_sys, cfg.mode, coeff, icfg)

@@ -46,6 +46,7 @@ from .infomodel import (
     InformationMode,
     SettingTimelines,
     SideTimeline,
+    check_geometry,
     seen_angles,
     static_timeline,
 )
@@ -136,6 +137,13 @@ def check_kick_threshold(value: float, name: str = "kick_threshold") -> float:
     return value
 
 
+def check_seed(value: int, name: str = "master_seed") -> int:
+    """A master seed must be an integer in [0, 2**64); returns it unchanged."""
+    if not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def _echo(value):
     """JSON-safe form of a config value: enums by value, tuples as lists, -inf as text."""
     if isinstance(value, enum.Enum):
@@ -185,25 +193,17 @@ class ExperimentConfig:
             if menu[0] == menu[1]:
                 raise ConfigError(f"{name} must hold two distinct angles")
         check_kick_threshold(self.kick_threshold)
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ConfigError("master_seed must be a non-negative integer")
-        if not math.isfinite(self.separation) or self.separation < 0.0:
-            raise ConfigError("separation must be non-negative")
+        check_seed(self.master_seed)
+        check_geometry(self.separation, self.signal_speed)
         if not math.isfinite(self.source_to_magnet) or self.source_to_magnet < 0.0:
             raise ConfigError("source_to_magnet must be non-negative")
-        if not math.isfinite(self.signal_speed) or self.signal_speed <= 0.0:
-            raise ConfigError("signal_speed must be positive")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigError("workers must be a positive integer")
-        flight = self.source_to_magnet / self.physics.beam_speed
-        transit = self.physics.magnet_length / self.physics.beam_speed
-        if not math.isfinite(self.pair_period) or self.pair_period < flight + transit:
+        # built here so a bad dt fails before prepare
+        cover = self.flight_time + self.transport_grid().duration
+        if not math.isfinite(self.pair_period) or self.pair_period < cover:
             raise ConfigError(
-                "pair_period must cover flight plus magnet transit "
-                f"({flight + transit:.6g} s)"
-            )
-        # dt against the transit, checked here so a coarse dt fails before prepare
-        IntegrationConfig(dt=self.dt, duration=transit)
+                f"pair_period must cover flight plus magnet transit ({cover:.6g} s)")
         for policy_name, list_name in (
             ("switch_policy_a", "explicit_a"),
             ("switch_policy_b", "explicit_b"),
@@ -223,6 +223,11 @@ class ExperimentConfig:
     def switching_active(self) -> bool:
         return (self.switch_policy_a is not SwitchPolicy.STATIC
                 or self.switch_policy_b is not SwitchPolicy.STATIC)
+
+    def transport_grid(self, record_every: int = 0) -> IntegrationConfig:
+        """The step grid of one magnet transit at this config's dt."""
+        transit = derive_coefficients(self.physics).transit_time
+        return IntegrationConfig(dt=self.dt, duration=transit, record_every=record_every)
 
     def to_dict(self) -> dict:
         """JSON-safe echo of every field that can affect the numbers.
@@ -388,8 +393,11 @@ class ExperimentReport:
     singles_b: int
     coincidences: int
     off_menu: int
-    switching_active: bool
     runtime_s: float
+
+    @property
+    def switching_active(self) -> bool:
+        return self.config.switching_active
 
     def correlator(self, cell: int) -> tuple[float, int]:
         """(E, N) of one cell under the run's normalization convention."""
@@ -511,8 +519,8 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
         signal_speed=cfg.signal_speed,
     )
     t_entry = launches + cfg.flight_time
-    setting_a, b_seen_by_a = seen_angles(Side.L, t_entry, timelines, cfg.mode)
-    a_seen_by_b, setting_b = seen_angles(Side.R, t_entry, timelines, cfg.mode)
+    setting_a, b_seen_by_a = seen_angles(Side.L, cfg.flight_time, timelines, cfg.mode, launches)
+    a_seen_by_b, setting_b = seen_angles(Side.R, cfg.flight_time, timelines, cfg.mode, launches)
     switched_a = timelines.side_a.changes_in(launches, t_entry)
     switched_b = timelines.side_b.changes_in(launches, t_entry)
     lost_on_switch = not detector_loss(True, cfg.efficiency, cfg.physics.beam_speed,
@@ -602,7 +610,7 @@ def _transport_all(
     signs are needed; ties go up, as in ``sign_outcome``.
     """
     coeff = derive_coefficients(cfg.physics)
-    icfg = IntegrationConfig(dt=cfg.dt, duration=coeff.transit_time, record_every=0)
+    icfg = cfg.transport_grid()
     systems, a_sys, b_sys = view_systems(table)
     m = len(systems[0])
     out_l = np.empty(m)
@@ -659,7 +667,6 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
         singles_b=int(table.survived_b.sum()),
         coincidences=int(coincident.sum()),
         off_menu=len(table) - int(on_menu.sum()),
-        switching_active=cfg.switching_active,
         runtime_s=time.perf_counter() - start,
     )
 
@@ -765,19 +772,16 @@ TABLE1_ROWS = (
 
 @dataclass(frozen=True)
 class TableRow:
-    """One summary-table row: its configuration fingerprint and estimate.
-
-    ``config`` is the exact configuration the row ran.
-    """
+    """One summary-table row: its label, estimate and the exact config it ran."""
 
     label: str
-    mode: InformationMode
-    efficiency: Efficiency
-    normalization: Normalization
-    seed: int
     bell: BellEstimate
     runtime_s: float
     config: ExperimentConfig
+
+    @property
+    def seed(self) -> int:
+        return self.config.master_seed
 
 
 def table1_run(
@@ -810,14 +814,6 @@ def table1_run(
         report = run_epr(cfg)
         if report.bell is None:
             raise EstimationError(f"row {label} left an empty setting cell")
-        rows.append(TableRow(
-            label=label,
-            mode=mode,
-            efficiency=efficiency,
-            normalization=normalization,
-            seed=row_seed,
-            bell=report.bell,
-            runtime_s=report.runtime_s,
-            config=cfg,
-        ))
+        rows.append(TableRow(label=label, bell=report.bell, runtime_s=report.runtime_s,
+                             config=cfg))
     return rows

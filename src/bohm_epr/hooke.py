@@ -22,6 +22,9 @@ can be checked against closed-form mechanics. Three couplings:
 analytically known center of mass X(t) = X0 + V t, using the equivalent
 one-body forces m1 x1'' = -k (M/m2) (x1 - X(t)) and symmetrically for
 x2. For the instantaneous coupling this decomposition is exact.
+
+Every run takes its step grid from ``integrate.IntegrationConfig``, the
+rule transport uses, so a grid is checked before any buffer is allocated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .integrate import rk4_step
+from .integrate import IntegrationConfig, rk4_step
+from .physconst import check_finite_fields
 
 
 class SpringMode(Enum):
@@ -56,10 +60,7 @@ class HookeParams:
     v2_0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("mass_1", "mass_2", "stiffness", "delay",
-                     "x1_0", "v1_0", "x2_0", "v2_0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        check_finite_fields(self)
         if self.mass_1 <= 0.0 or self.mass_2 <= 0.0:
             raise ConfigError("masses must be positive")
         if self.stiffness <= 0.0:
@@ -92,17 +93,9 @@ class SpringTrajectory:
     v2: np.ndarray
 
 
-def _check_grid(duration: float, dt: float) -> int:
-    if not (math.isfinite(duration) and math.isfinite(dt)):
-        raise ConfigError("duration and dt must be finite")
-    if dt <= 0.0 or duration < dt:
-        raise ConfigError("need 0 < dt <= duration")
-    return int(round(duration / dt))
-
-
-def _start(params: HookeParams, n_steps: int) -> np.ndarray:
-    """The (n_steps+1, 4) row buffer of (x1, v1, x2, v2), row 0 filled."""
-    rows = np.empty((n_steps + 1, 4))
+def _start(params: HookeParams, duration: float, dt: float) -> np.ndarray:
+    """The row buffer of (x1, v1, x2, v2), one row per grid point, row 0 filled."""
+    rows = np.empty((IntegrationConfig(dt=dt, duration=duration).n_steps + 1, 4))
     rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
     return rows
 
@@ -131,7 +124,7 @@ def _simulate_retarded(params: HookeParams, duration: float, dt: float) -> Sprin
     if dt > tau / 4.0:
         raise ConfigError(
             f"retarded coupling needs dt <= delay/4 ({tau / 4.0:.6g}), got dt = {dt:.6g}")
-    rows = _start(params, _check_grid(duration, dt))
+    rows = _start(params, duration, dt)
     k1_m1 = params.stiffness / params.mass_1
     k1_m2 = params.stiffness / params.mass_2
 
@@ -169,7 +162,7 @@ def simulate_spring(
     if mode is SpringMode.RETARDED and params.delay > 0.0:
         return _simulate_retarded(params, duration, dt)
 
-    n_steps = _check_grid(duration, dt)
+    rows = _start(params, duration, dt)
     k_m1 = params.stiffness / params.mass_1
     k_m2 = params.stiffness / params.mass_2
     tau = params.delay
@@ -187,7 +180,7 @@ def simulate_spring(
             stretch = x1 - x2
             return (v1, -k_m1 * stretch, v2, k_m2 * stretch)
 
-    return _rk4_ode(rhs, _start(params, n_steps), dt)
+    return _rk4_ode(rhs, rows, dt)
 
 
 def center_of_mass_spring(
@@ -196,7 +189,7 @@ def center_of_mass_spring(
     dt: float,
 ) -> SpringTrajectory:
     """Each mass driven by the analytic center of mass, instantaneous coupling."""
-    n_steps = _check_grid(duration, dt)
+    rows = _start(params, duration, dt)
     m_total = params.total_mass
     x_cm0 = (params.mass_1 * params.x1_0 + params.mass_2 * params.x2_0) / m_total
     v_cm = (params.mass_1 * params.v1_0 + params.mass_2 * params.v2_0) / m_total
@@ -207,7 +200,7 @@ def center_of_mass_spring(
         x_cm = x_cm0 + v_cm * t
         return (v1, -rate_1 * (x1 - x_cm), v2, -rate_1 * (x2 - x_cm))
 
-    return _rk4_ode(rhs, _start(params, n_steps), dt)
+    return _rk4_ode(rhs, rows, dt)
 
 
 def spring_energy(params: HookeParams, traj: SpringTrajectory) -> np.ndarray:

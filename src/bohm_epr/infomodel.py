@@ -101,6 +101,14 @@ def static_timeline(angle: float) -> SideTimeline:
     return SideTimeline(entries=((-math.inf, angle),))
 
 
+def check_geometry(separation: float, signal_speed: float) -> None:
+    """The station separation must be finite and >= 0, the news speed finite and > 0."""
+    if not math.isfinite(separation) or separation < 0.0:
+        raise ConfigError("separation must be finite and non-negative")
+    if not math.isfinite(signal_speed) or signal_speed <= 0.0:
+        raise ConfigError("signal_speed must be finite and positive")
+
+
 @dataclass(frozen=True)
 class SettingTimelines:
     """Both switching histories plus the geometry of information flow."""
@@ -111,10 +119,7 @@ class SettingTimelines:
     signal_speed: float = LIGHT_SPEED
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.separation) or self.separation < 0.0:
-            raise ConfigError("separation must be finite and non-negative")
-        if not math.isfinite(self.signal_speed) or self.signal_speed <= 0.0:
-            raise ConfigError("signal_speed must be finite and positive")
+        check_geometry(self.separation, self.signal_speed)
 
     @property
     def news_delay(self) -> float:
@@ -127,14 +132,20 @@ def seen_angles(
     t_eval: np.ndarray,
     timelines: SettingTimelines,
     mode: InformationMode,
+    origin: np.ndarray | float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (angle_a, angle_b) one side attributes to the apparatus at each ``t_eval``."""
-    if not np.isfinite(t_eval).all():
-        raise ConfigError("t_eval must be finite")
-    t_partner = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
+    """The (angle_a, angle_b) one side attributes to the apparatus at each origin + t_eval.
+
+    In local mode the partner angle is read at origin + (t_eval - news_delay),
+    so a delay shorter than t_eval sees a switch at the origin however sums round.
+    """
+    if not (np.isfinite(t_eval).all() and np.isfinite(origin).all()):
+        raise ConfigError("t_eval and origin must be finite")
+    lag = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
+    t_own, t_partner = origin + t_eval, origin + lag
     if side is Side.L:
-        return timelines.side_a.angles_at(t_eval), timelines.side_b.angles_at(t_partner)
-    return timelines.side_a.angles_at(t_partner), timelines.side_b.angles_at(t_eval)
+        return timelines.side_a.angles_at(t_own), timelines.side_b.angles_at(t_partner)
+    return timelines.side_a.angles_at(t_partner), timelines.side_b.angles_at(t_own)
 
 
 def effective_settings(

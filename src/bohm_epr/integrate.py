@@ -21,6 +21,9 @@ Time is never accumulated: step i lives at t = i * dt exactly, so the
 step count, not rounding, decides where the integration ends. The state
 is checked for finiteness after every step and a non-finite value raises
 ``IntegrationDiverged`` carrying the step index.
+
+``IntegrationConfig`` states the step-grid rule once, for transport and
+the spring sandbox alike: a finite dt > 0 and from 10 to 10**7 steps.
 """
 
 from __future__ import annotations
@@ -35,12 +38,16 @@ from .physconst import DerivedCoefficients
 from .velocity import (
     SettingPair,
     TrajectoryState,
+    check_weights,
     ratio_pair_at,
     velocity_from_ratios,
     velocity_pair_batch,
 )
 
 _MIN_STEPS = 10
+# Transport takes 3000 steps and hooke-demo at 40 periods 80 000. A spring
+# run stores about 72 B per step, so 10**7 steps is about 0.7 GB.
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,14 @@ class IntegrationConfig:
             raise ConfigError("dt and duration must be finite")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        if self.duration < self.dt:
-            raise ConfigError("duration must be at least one step")
+        # compared as a float first: the ratio may overflow to inf
+        steps = self.duration / self.dt
+        if steps > _MAX_STEPS:
+            raise ConfigError(
+                f"duration/dt = {steps:.3g} gives more than {_MAX_STEPS} steps; coarsen dt")
         if self.n_steps < _MIN_STEPS:
             raise ConfigError(
-                f"duration/dt = {self.duration / self.dt:.3g} gives fewer than "
-                f"{_MIN_STEPS} steps; refine dt"
-            )
+                f"duration/dt = {steps:.3g} gives fewer than {_MIN_STEPS} steps; refine dt")
         if not isinstance(self.record_every, int) or self.record_every < 0:
             raise ConfigError("record_every must be a non-negative integer")
 
@@ -160,12 +168,7 @@ def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
     arrays = tuple(np.asarray(a, dtype=float) for a in (z_l0, z_r0, s2, c2))
     if not (arrays[0].shape == arrays[1].shape == arrays[2].shape == arrays[3].shape):
         raise ConfigError("batch arrays must share one shape")
-    s2, c2 = arrays[2], arrays[3]
-    # the rule stable_ratio applies to scalar weights (NaN fails every test)
-    if not (np.all((s2 >= 0.0) & (s2 <= 1.0)) and np.all((c2 >= 0.0) & (c2 <= 1.0))):
-        raise ConfigError("weights must lie in [0, 1]")
-    if np.any(s2 + c2 <= 0.0):
-        raise ConfigError("weights must not both vanish")
+    check_weights(arrays[2], arrays[3])
     return arrays
 
 

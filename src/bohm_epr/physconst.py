@@ -41,6 +41,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def check_finite_fields(obj) -> None:
+    """Every dataclass field of ``obj`` must hold a finite int or float."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        _require(isinstance(value, (int, float)) and math.isfinite(value),
+                 f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RawPhysicalInputs:
     """Bench-level numbers describing one arm of the apparatus.
@@ -59,10 +67,7 @@ class RawPhysicalInputs:
     light_speed: float = LIGHT_SPEED
 
     def __post_init__(self) -> None:
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            _require(isinstance(value, (int, float)) and math.isfinite(value),
-                     f"{name} must be a finite number, got {value!r}")
+        check_finite_fields(self)
         _require(self.magnetic_moment > 0.0, "magnetic_moment must be positive")
         _require(self.mass > 0.0, "mass must be positive")
         _require(self.packet_width > 0.0, "packet_width must be positive")
@@ -88,9 +93,7 @@ class DerivedCoefficients:
     transit_time: float
 
     def __post_init__(self) -> None:
-        for name in ("accel", "exp_coeff", "spread_rate", "transit_time"):
-            value = getattr(self, name)
-            _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
+        check_finite_fields(self)
         _require(self.accel >= 0.0, "accel must be non-negative")
         _require(self.exp_coeff >= 0.0, "exp_coeff must be non-negative")
         _require(self.spread_rate > 0.0, "spread_rate must be positive")

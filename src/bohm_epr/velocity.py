@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .physconst import DerivedCoefficients
+from .physconst import DerivedCoefficients, check_finite_fields
 
 _DIRECT_LIMIT = 300.0
 
@@ -97,9 +97,7 @@ class TrajectoryState:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("z_l", "z_r", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        check_finite_fields(self)
         if self.t < 0.0:
             raise ConfigError("t must be non-negative")
 
@@ -112,12 +110,11 @@ def exponent_scale(t: float, coeff: DerivedCoefficients) -> float:
     return coeff.exp_coeff * t * t / (1.0 + kt * kt)
 
 
-def _check_ratio_args(u: float, v: float, s2: float, c2: float) -> None:
-    if math.isnan(u) or math.isnan(v):
-        raise ConfigError("hyperbolic arguments must not be NaN")
-    if not (0.0 <= s2 <= 1.0 and 0.0 <= c2 <= 1.0):
+def check_weights(s2, c2) -> None:
+    """Weights, scalars or arrays, must lie in [0, 1] (NaN does not) and not both vanish."""
+    if not (np.all((s2 >= 0.0) & (s2 <= 1.0)) and np.all((c2 >= 0.0) & (c2 <= 1.0))):
         raise ConfigError("weights must lie in [0, 1]")
-    if s2 + c2 <= 0.0:
+    if np.any(s2 + c2 <= 0.0):
         raise ConfigError("weights must not both vanish")
 
 
@@ -130,7 +127,9 @@ def stable_ratio(u: float, v: float, s2: float, c2: float, side: Side) -> float:
     exponents of such an argument may overflow to -inf, where exp is
     exactly 0, so those overflows are not reported.
     """
-    _check_ratio_args(u, v, s2, c2)
+    if math.isnan(u) or math.isnan(v):
+        raise ConfigError("hyperbolic arguments must not be NaN")
+    check_weights(s2, c2)
     u, v = (np.clip(np.array([x]), -sys.float_info.max, sys.float_info.max) for x in (u, v))
     with np.errstate(over="ignore", under="ignore"):
         rl, rr = ratio_pair_batch(u, v, np.array([s2]), np.array([c2]))

@@ -414,6 +414,16 @@ def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):
                  "--dt", "0.05", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--coupling", "cm", "--periods", "1e13"],
+    ["--coupling", "retarded", "--tau", "1e-300", "--periods", "1"],
+])
+def test_hooke_demo_rejects_unbounded_step_count(tmp_path, capsys, argv):
+    assert main(["hooke-demo", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "more than 10000000 steps" in err
+
+
 def test_dump_trajectories(tmp_path):
     out = tmp_path / "dump"
     code = main(["dump-trajectories", "--pairs", "4", "--seed", "7",

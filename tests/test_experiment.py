@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bohm_epr.experiment as experiment_mod
@@ -131,6 +131,11 @@ def test_experiment_config_validation():
         ExperimentConfig(explicit_a=((0.0, 0.3),))
     with pytest.raises(ConfigError):
         ExperimentConfig(master_seed=-1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(master_seed=2**64)
+    # 3e297 steps of transit: refused here, not stepped practically forever
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        ExperimentConfig(dt=1.0e-300)
 
 
 def test_coarse_dt_rejected_at_construction():
@@ -202,15 +207,44 @@ def test_local_mode_diverges_from_nonlocal_under_slow_news():
     assert outcomes_l != outcomes_n
 
 
-def test_local_mode_with_lightspeed_news_matches_nonlocal():
-    base = dict(n_pairs=40, master_seed=19, signal_speed=LIGHT_SPEED)
-    local = run_epr(ExperimentConfig(mode=InformationMode.LOCAL, **base))
-    nonlocal_ = run_epr(ExperimentConfig(mode=InformationMode.NONLOCAL, **base))
-    for rl, rn in zip(local.records, nonlocal_.records):
-        assert rl.seen_by_a == rl.seen_by_b
-        assert (rl.outcome_a, rl.outcome_b) == (rn.outcome_a, rn.outcome_b)
-        assert (rl.setting_a, rl.setting_b) == (rn.setting_a, rn.setting_b)
-    assert local.bell.e_values == nonlocal_.bell.e_values
+@st.composite
+def fast_news_configs(draw):
+    """Per-pair-random or static policies, with news faster than the flight."""
+    base = ExperimentConfig()
+    signal_speed = draw(st.floats(base.separation / base.flight_time, exclude_min=True,
+                                  allow_infinity=False))
+    assume(base.separation / signal_speed < base.flight_time)
+    policies = st.sampled_from((SwitchPolicy.PER_PAIR_RANDOM, SwitchPolicy.STATIC))
+    return ExperimentConfig(
+        n_pairs=draw(st.integers(4, 60)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        efficiency=draw(st.sampled_from(Efficiency)),
+        kick_threshold=0.0,
+        switch_policy_a=draw(policies),
+        switch_policy_b=draw(policies),
+        signal_speed=signal_speed,
+    )
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fast_news_configs())
+@example(ExperimentConfig(n_pairs=40, master_seed=19, signal_speed=LIGHT_SPEED))
+# a news delay one ulp below the flight time
+@example(ExperimentConfig(n_pairs=60, master_seed=0, signal_speed=math.nextafter(
+    ExperimentConfig().separation / ExperimentConfig().flight_time, math.inf)))
+def test_local_mode_with_lightspeed_news_matches_nonlocal(cfg):
+    # switches happen only at launches, so news that lands before the
+    # magnet entry is current there
+    assert cfg.separation / cfg.signal_speed < cfg.flight_time
+    local = run_epr(replace(cfg, mode=InformationMode.LOCAL))
+    nonlocal_ = run_epr(replace(cfg, mode=InformationMode.NONLOCAL))
+    assert local.records == nonlocal_.records
+    docs = [report_json_dict(report) for report in (local, nonlocal_)]
+    for doc in docs:
+        doc.pop("runtime_s")
+        doc["config_echo"].pop("mode")
+    assert docs[0] == docs[1]
 
 
 def test_inefficient_rows_agree_across_modes():

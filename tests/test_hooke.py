@@ -37,6 +37,8 @@ def test_params_validation():
         HookeParams(x1_0=math.nan)
     with pytest.raises(ConfigError):
         HookeParams(v2_0=math.inf)
+    with pytest.raises(ConfigError):
+        HookeParams(mass_1="a")
 
 
 def test_default_period_and_masses():
@@ -54,6 +56,16 @@ def test_grid_validation():
         simulate_spring(p, SpringMode.INSTANTANEOUS, duration=0.5, dt=1.0)
     with pytest.raises(ConfigError):
         simulate_spring(p, SpringMode.INSTANTANEOUS, duration=math.inf, dt=0.1)
+    with pytest.raises(ConfigError, match="fewer than 10 steps"):
+        simulate_spring(p, SpringMode.INSTANTANEOUS, duration=0.5, dt=0.1)
+    # step counts whose buffers could never be allocated are refused up front
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        simulate_spring(p, SpringMode.INSTANTANEOUS, duration=1.0e13, dt=1.0e-3)
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        center_of_mass_spring(p, duration=1.0e13, dt=1.0e-3)
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        simulate_spring(HookeParams(delay=1.0e-300), SpringMode.RETARDED,
+                        duration=1.0, dt=1.0e-301)
 
 
 def test_instantaneous_matches_closed_form():

@@ -52,6 +52,10 @@ def test_config_validation():
         IntegrationConfig(dt=2.0e-3, duration=1.0e-3)      # dt > duration
     with pytest.raises(ConfigError):
         IntegrationConfig(dt=1.0e-6, duration=5.0e-6)      # fewer than 10 steps
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        IntegrationConfig(dt=1.0e-12, duration=3.0e-3)     # 3e9 steps
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        IntegrationConfig(dt=5.0e-324, duration=1.0)       # duration/dt overflows
     with pytest.raises(ConfigError):
         IntegrationConfig(dt=1.0e-6, duration=1.0e-3, record_every=-1)
     cfg = IntegrationConfig(dt=1.0e-6, duration=1.0e-5)
