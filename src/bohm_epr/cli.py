@@ -59,9 +59,9 @@ from .experiment import (
 from .hooke import (
     HookeParams,
     SpringMode,
-    center_of_mass_spring,
     simulate_spring,
     spring_energy,
+    spring_grid,
     write_spring_csv,
 )
 from .infomodel import InformationMode
@@ -283,9 +283,13 @@ def write_manifest(out_dir: str, cfg: ExperimentConfig | None, files: list[str],
         **(extra or {}),
         "files": sorted(files),
     }
-    path = os.path.join(out_dir, "manifest.json")
+    return _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _write_json(path: str, doc: dict) -> str:
+    """Write ``doc`` as indented JSON with a trailing newline; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
     return path
 
@@ -333,11 +337,8 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
         if report.bell is not None:
             report = dataclasses.replace(report, bell=report.bell.with_rates(rates))
 
-    doc = report_json_dict(report)
     files = ["report.json", "manifest.json"]
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"), report_json_dict(report))
     if args.events:
         write_events_csv(report, os.path.join(out_dir, "events.csv"))
         files.append("events.csv")
@@ -410,9 +411,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         "replicates": replicates,
         "rows": rows_doc,
     }
-    with open(os.path.join(out_dir, "table1.json"), "w", encoding="utf-8") as fh:
-        json.dump(table_doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "table1.json"), table_doc)
     runs = [
         {"replicate": r, "label": row.label, "seed": row.config.master_seed,
          "config_sha256": config_digest(row.config)}
@@ -440,26 +439,28 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     started = _utc_now()
     params = HookeParams(delay=args.tau)
     duration = args.periods * params.period
+    modes = list(SpringMode) if args.coupling == "all" else [SpringMode(args.coupling)]
+    # every grid is checked before anything is written or run
+    steps = {}
+    for mode in modes:
+        if args.dt is not None:
+            steps[mode] = args.dt
+        elif mode is SpringMode.RETARDED and args.tau > 0.0:
+            steps[mode] = args.tau / 8.0
+        else:
+            steps[mode] = params.period / 2000.0
+        spring_grid(params, mode, duration, steps[mode])
     out_dir = _ensure_out(args.out)
 
-    couplings = (["instantaneous", "retarded", "expanded", "cm"]
-                 if args.coupling == "all" else [args.coupling])
     files = ["manifest.json"]
-    for name in couplings:
-        if name == "retarded" and args.tau > 0.0:
-            dt = args.dt if args.dt is not None else args.tau / 8.0
-        else:
-            dt = args.dt if args.dt is not None else params.period / 2000.0
-        if name == "cm":
-            traj = center_of_mass_spring(params, duration, dt)
-        else:
-            traj = simulate_spring(params, SpringMode(name), duration, dt)
-        fname = f"hooke_{name}.csv"
+    for mode, dt in steps.items():
+        traj = simulate_spring(params, mode, duration, dt)
+        fname = f"hooke_{mode.value}.csv"
         write_spring_csv(traj, os.path.join(out_dir, fname))
         files.append(fname)
         energy = spring_energy(params, traj)
         drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
-        print(f"{name:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
+        print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
               f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
     write_manifest(out_dir, None, files, "hooke-demo",
                    {"tau": args.tau, "periods": args.periods}, started)
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hooke = subs.add_parser("hooke-demo", help="delayed-spring toy model")
     hooke.add_argument("--coupling",
-                       choices=["instantaneous", "retarded", "expanded", "cm", "all"],
+                       choices=[m.value for m in SpringMode] + ["all"],
                        default="all")
     hooke.add_argument("--tau", type=float, default=0.05,
                        help="coupling delay (default 0.05)")

@@ -399,12 +399,16 @@ class ExperimentReport:
     def switching_active(self) -> bool:
         return self.config.switching_active
 
+    @property
+    def denominators(self) -> tuple[int, int, int, int]:
+        """The N of each cell under the run's normalization convention."""
+        if self.config.normalization is Normalization.SINGLES:
+            return self.cell_launches
+        return self.cell_counts
+
     def correlator(self, cell: int) -> tuple[float, int]:
         """(E, N) of one cell under the run's normalization convention."""
-        if self.config.normalization is Normalization.SINGLES:
-            denom = self.cell_launches[cell]
-        else:
-            denom = self.cell_counts[cell]
+        denom = self.denominators[cell]
         if denom == 0:
             raise EstimationError(f"empty setting cell {CELL_LABELS[cell]}")
         return self.cell_sums[cell] / denom, denom
@@ -640,26 +644,10 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     cell_sums = tuple(np.bincount(cell[counted], weights=(outcome_a * outcome_b)[counted],
                                   minlength=4).astype(int).tolist())
 
-    if cfg.normalization is Normalization.SINGLES:
-        denominators = cell_launches
-    else:
-        denominators = cell_counts
-    bell: BellEstimate | None = None
-    if all(d > 0 for d in denominators):
-        e_values = tuple(cell_sums[i] / denominators[i] for i in range(4))
-        s_signed, s_abs, sigma_s = chsh(e_values, denominators)
-        bell = BellEstimate(
-            e_values=e_values,
-            n_values=denominators,
-            s_signed=s_signed,
-            s_abs=s_abs,
-            sigma_s=sigma_s,
-        )
-
-    return ExperimentReport(
+    report = ExperimentReport(
         config=cfg,
         records=table,
-        bell=bell,
+        bell=None,
         cell_counts=cell_counts,
         cell_sums=cell_sums,
         cell_launches=cell_launches,
@@ -667,8 +655,20 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
         singles_b=int(table.survived_b.sum()),
         coincidences=int(coincident.sum()),
         off_menu=len(table) - int(on_menu.sum()),
-        runtime_s=time.perf_counter() - start,
+        runtime_s=0.0,
     )
+    bell: BellEstimate | None = None
+    if all(d > 0 for d in report.denominators):
+        e_values, n_values = zip(*(report.correlator(i) for i in range(4)))
+        s_signed, s_abs, sigma_s = chsh(e_values, n_values)
+        bell = BellEstimate(
+            e_values=e_values,
+            n_values=n_values,
+            s_signed=s_signed,
+            s_abs=s_abs,
+            sigma_s=sigma_s,
+        )
+    return replace(report, bell=bell, runtime_s=time.perf_counter() - start)
 
 
 def count_rates(switched: ExperimentReport, quiescent: ExperimentReport) -> CountRates:

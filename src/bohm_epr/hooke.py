@@ -1,7 +1,8 @@
 """Two masses coupled by a Hooke spring, with optionally delayed coupling.
 
 A sandbox for the information-delay idea in a setting where everything
-can be checked against closed-form mechanics. Three couplings:
+can be checked against closed-form mechanics. ``simulate_spring`` is the
+one entry point; its ``SpringMode`` picks one of four couplings:
 
 * ``INSTANTANEOUS``: each mass feels the spring stretched to where the
   other mass is right now,
@@ -17,14 +18,16 @@ can be checked against closed-form mechanics. Three couplings:
       m2 x2'' = -k (x2 - x1) - k tau v1,
   a pair of ordinary ODEs. Retarded and expanded trajectories agree to
   O(tau^2), which halving tau makes visible.
+* ``CENTER_OF_MASS``: each mass integrated separately against the
+  analytically known center of mass X(t) = X0 + V t, using the equivalent
+  one-body forces m1 x1'' = -k (M/m2) (x1 - X(t)) and symmetrically for
+  x2. For the instantaneous coupling this decomposition is exact.
+  ``center_of_mass_spring`` is a shorthand for this mode.
 
-``center_of_mass_spring`` integrates each mass separately against the
-analytically known center of mass X(t) = X0 + V t, using the equivalent
-one-body forces m1 x1'' = -k (M/m2) (x1 - X(t)) and symmetrically for
-x2. For the instantaneous coupling this decomposition is exact.
-
-Every run takes its step grid from ``integrate.IntegrationConfig``, the
-rule transport uses, so a grid is checked before any buffer is allocated.
+``spring_grid`` states the grid rule once: the delay rule above, then
+``integrate.IntegrationConfig``, the step rule transport uses. So a grid
+is checked before any buffer is allocated, and a caller can check every
+grid before it runs any of them.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ class SpringMode(Enum):
     INSTANTANEOUS = "instantaneous"
     RETARDED = "retarded"
     EXPANDED = "expanded"
+    CENTER_OF_MASS = "cm"
 
 
 @dataclass(frozen=True)
@@ -93,19 +97,81 @@ class SpringTrajectory:
     v2: np.ndarray
 
 
-def _start(params: HookeParams, duration: float, dt: float) -> np.ndarray:
-    """The row buffer of (x1, v1, x2, v2), one row per grid point, row 0 filled."""
-    rows = np.empty((IntegrationConfig(dt=dt, duration=duration).n_steps + 1, 4))
-    rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
-    return rows
+def spring_grid(params: HookeParams, mode: SpringMode, duration: float,
+                dt: float) -> IntegrationConfig:
+    """The step grid of one run, checked: a retarded delay first, then the step rule."""
+    if mode is SpringMode.RETARDED and params.delay > 0.0 and dt > params.delay / 4.0:
+        raise ConfigError(f"retarded coupling needs dt <= delay/4 "
+                          f"({params.delay / 4.0:.6g}), got dt = {dt:.6g}")
+    return IntegrationConfig(dt=dt, duration=duration)
 
 
-def _rk4_ode(rhs, rows: np.ndarray, dt: float) -> SpringTrajectory:
-    """RK4 from row 0 of ``rows``, filling each later row with one step.
+def _rhs(params: HookeParams, mode: SpringMode, rows: np.ndarray, dt: float):
+    """The right-hand side of ``mode``; a retarded one reads rows already written."""
+    k_m1 = params.stiffness / params.mass_1
+    k_m2 = params.stiffness / params.mass_2
+    tau = params.delay
 
-    The state is a list of Python floats: a numpy 4-vector costs more
-    per operation than it saves. ``rhs`` may read rows already written.
+    if mode is SpringMode.RETARDED and tau > 0.0:
+        def delayed(col: int, t_query: float) -> float:
+            # Constant prehistory: before launch each mass sat at its start.
+            # dt <= tau/4 puts every query before the step being taken.
+            if t_query <= 0.0:
+                return float(rows[0, col])
+            pos = t_query / dt
+            j = int(pos)
+            frac = pos - j
+            if frac == 0.0:
+                return float(rows[j, col])
+            return float(rows[j, col] * (1.0 - frac) + rows[j + 1, col] * frac)
+
+        def rhs(ts: float, state: list[float]):
+            s_x1, s_v1, s_x2, s_v2 = state
+            return (
+                s_v1,
+                -k_m1 * (s_x1 - delayed(2, ts - tau)),
+                s_v2,
+                -k_m2 * (s_x2 - delayed(0, ts - tau)),
+            )
+    elif mode is SpringMode.EXPANDED:
+        def rhs(t: float, y: list[float]):
+            x1, v1, x2, v2 = y
+            stretch = x1 - x2
+            return (v1, -k_m1 * stretch - k_m1 * tau * v2,
+                    v2, k_m2 * stretch - k_m2 * tau * v1)
+    elif mode is SpringMode.CENTER_OF_MASS:
+        m_total = params.total_mass
+        x_cm0 = (params.mass_1 * params.x1_0 + params.mass_2 * params.x2_0) / m_total
+        v_cm = (params.mass_1 * params.v1_0 + params.mass_2 * params.v2_0) / m_total
+        rate_1 = params.stiffness * m_total / (params.mass_1 * params.mass_2)
+
+        def rhs(t: float, y: list[float]):
+            x1, v1, x2, v2 = y
+            x_cm = x_cm0 + v_cm * t
+            return (v1, -rate_1 * (x1 - x_cm), v2, -rate_1 * (x2 - x_cm))
+    else:
+        # Instantaneous coupling; also the tau = 0 retarded system.
+        def rhs(t: float, y: list[float]):
+            x1, v1, x2, v2 = y
+            stretch = x1 - x2
+            return (v1, -k_m1 * stretch, v2, k_m2 * stretch)
+    return rhs
+
+
+def simulate_spring(
+    params: HookeParams,
+    mode: SpringMode,
+    duration: float,
+    dt: float,
+) -> SpringTrajectory:
+    """Integrate the pair under the chosen coupling with fixed-step RK4.
+
+    Each step fills one row of (x1, v1, x2, v2). The state is a list of
+    Python floats: a numpy 4-vector costs more per operation than it saves.
     """
+    rows = np.empty((spring_grid(params, mode, duration, dt).n_steps + 1, 4))
+    rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
+    rhs = _rhs(params, mode, rows, dt)
     y = rows[0].tolist()
     for i in range(rows.shape[0] - 1):
         y = rk4_step(rhs, i, dt, y)
@@ -119,88 +185,9 @@ def _rk4_ode(rhs, rows: np.ndarray, dt: float) -> SpringTrajectory:
     )
 
 
-def _simulate_retarded(params: HookeParams, duration: float, dt: float) -> SpringTrajectory:
-    tau = params.delay
-    if dt > tau / 4.0:
-        raise ConfigError(
-            f"retarded coupling needs dt <= delay/4 ({tau / 4.0:.6g}), got dt = {dt:.6g}")
-    rows = _start(params, duration, dt)
-    k1_m1 = params.stiffness / params.mass_1
-    k1_m2 = params.stiffness / params.mass_2
-
-    def delayed(col: int, t_query: float) -> float:
-        # Constant prehistory: before launch each mass sat at its start.
-        # dt <= tau/4 puts every query before the step being taken.
-        if t_query <= 0.0:
-            return float(rows[0, col])
-        pos = t_query / dt
-        j = int(pos)
-        frac = pos - j
-        if frac == 0.0:
-            return float(rows[j, col])
-        return float(rows[j, col] * (1.0 - frac) + rows[j + 1, col] * frac)
-
-    def rhs(ts: float, state: list[float]):
-        s_x1, s_v1, s_x2, s_v2 = state
-        return (
-            s_v1,
-            -k1_m1 * (s_x1 - delayed(2, ts - tau)),
-            s_v2,
-            -k1_m2 * (s_x2 - delayed(0, ts - tau)),
-        )
-
-    return _rk4_ode(rhs, rows, dt)
-
-
-def simulate_spring(
-    params: HookeParams,
-    mode: SpringMode,
-    duration: float,
-    dt: float,
-) -> SpringTrajectory:
-    """Integrate the pair under the chosen coupling with fixed-step RK4."""
-    if mode is SpringMode.RETARDED and params.delay > 0.0:
-        return _simulate_retarded(params, duration, dt)
-
-    rows = _start(params, duration, dt)
-    k_m1 = params.stiffness / params.mass_1
-    k_m2 = params.stiffness / params.mass_2
-    tau = params.delay
-
-    if mode is SpringMode.EXPANDED:
-        def rhs(t: float, y: list[float]):
-            x1, v1, x2, v2 = y
-            stretch = x1 - x2
-            return (v1, -k_m1 * stretch - k_m1 * tau * v2,
-                    v2, k_m2 * stretch - k_m2 * tau * v1)
-    else:
-        # Instantaneous coupling; also the tau = 0 retarded system.
-        def rhs(t: float, y: list[float]):
-            x1, v1, x2, v2 = y
-            stretch = x1 - x2
-            return (v1, -k_m1 * stretch, v2, k_m2 * stretch)
-
-    return _rk4_ode(rhs, rows, dt)
-
-
-def center_of_mass_spring(
-    params: HookeParams,
-    duration: float,
-    dt: float,
-) -> SpringTrajectory:
+def center_of_mass_spring(params: HookeParams, duration: float, dt: float) -> SpringTrajectory:
     """Each mass driven by the analytic center of mass, instantaneous coupling."""
-    rows = _start(params, duration, dt)
-    m_total = params.total_mass
-    x_cm0 = (params.mass_1 * params.x1_0 + params.mass_2 * params.x2_0) / m_total
-    v_cm = (params.mass_1 * params.v1_0 + params.mass_2 * params.v2_0) / m_total
-    rate_1 = params.stiffness * m_total / (params.mass_1 * params.mass_2)
-
-    def rhs(t: float, y: list[float]):
-        x1, v1, x2, v2 = y
-        x_cm = x_cm0 + v_cm * t
-        return (v1, -rate_1 * (x1 - x_cm), v2, -rate_1 * (x2 - x_cm))
-
-    return _rk4_ode(rhs, rows, dt)
+    return simulate_spring(params, SpringMode.CENTER_OF_MASS, duration, dt)
 
 
 def spring_energy(params: HookeParams, traj: SpringTrajectory) -> np.ndarray:

@@ -424,6 +424,18 @@ def test_hooke_demo_rejects_unbounded_step_count(tmp_path, capsys, argv):
     assert "configuration error:" in err and "more than 10000000 steps" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tau", "1e-300", "--periods", "1"],
+    ["--tau", "0.05", "--dt", "0.05"],
+])
+def test_hooke_demo_checks_every_grid_before_writing(tmp_path, capsys, argv):
+    # the retarded grid is refused after the instantaneous one would pass
+    out = tmp_path / "hooke"
+    assert main(["hooke-demo", "--coupling", "all", *argv, "--out", str(out)]) == 2
+    assert not list(tmp_path.glob("**/hooke_*.csv"))
+    assert capsys.readouterr().out == ""
+
+
 def test_dump_trajectories(tmp_path):
     out = tmp_path / "dump"
     code = main(["dump-trajectories", "--pairs", "4", "--seed", "7",
