@@ -20,7 +20,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentReport,
     Normalization,
-    PairRecord,
     PairTable,
     SwitchPolicy,
     TableRow,
@@ -95,7 +94,6 @@ __all__ = [
     "IntegrationDiverged",
     "LIGHT_SPEED",
     "Normalization",
-    "PairRecord",
     "PairTable",
     "PairTrajectory",
     "RawPhysicalInputs",

@@ -333,9 +333,7 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     report = run_epr(cfg)
     if args.rates:
         baseline = run_epr(quiescent_config(cfg))
-        rates = count_rates(report, baseline)
-        if report.bell is not None:
-            report = dataclasses.replace(report, bell=report.bell.with_rates(rates))
+        report = dataclasses.replace(report, rates=count_rates(report, baseline))
 
     files = ["report.json", "manifest.json"]
     _write_json(os.path.join(out_dir, "report.json"), report_json_dict(report))
@@ -580,6 +578,11 @@ def main(argv=None) -> int:
     except (EstimationError, IntegrationDiverged) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except OSError as err:
+        # inputs are read and checked before any work, so this is an output
+        print(f"configuration error: cannot write {err.filename}: {err.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ changes nothing.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -50,7 +51,7 @@ from .infomodel import (
     seen_angles,
     static_timeline,
 )
-from .integrate import IntegrationConfig, integrate_retiring, sample_initial
+from .integrate import IntegrationConfig, integrate_retiring, sample_initial, sign_outcome
 from .physconst import (
     LIGHT_SPEED,
     DerivedCoefficients,
@@ -240,34 +241,6 @@ class ExperimentConfig:
                 if f.name != "workers"}
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One row of a ``PairTable``: everything known about one launched pair.
-
-    The outcomes are None until the pair has been transported.
-    """
-
-    pair_id: int
-    z_l0: float
-    z_r0: float
-    setting_a: float
-    setting_b: float
-    a_index: int
-    b_index: int
-    seen_by_a: SettingPair
-    seen_by_b: SettingPair
-    switched_a: bool
-    switched_b: bool
-    survived_a: bool
-    survived_b: bool
-    outcome_a: int | None = None
-    outcome_b: int | None = None
-
-    @property
-    def coincident(self) -> bool:
-        return self.survived_a and self.survived_b
-
-
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """The launched pairs of a run as numpy columns, one row per pair.
@@ -276,8 +249,8 @@ class PairTable:
     entry, ``a_index`` and ``b_index`` their places in the menus (-1 when
     off-menu). Observer A attributes (setting_a, b_seen_by_a) to the
     apparatus, observer B (a_seen_by_b, setting_b). The outcome columns
-    are None until transport. Indexing, iteration and ``==`` treat the
-    table as a sequence of ``PairRecord`` rows.
+    are None until transport. Pair k is row k of every column; ``len``
+    counts the pairs and ``==`` compares every column.
     """
 
     pair_id: np.ndarray
@@ -296,32 +269,15 @@ class PairTable:
     outcome_a: np.ndarray | None = None
     outcome_b: np.ndarray | None = None
 
-    def _columns(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def __len__(self) -> int:
         return len(self.pair_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PairTable(**{name: None if col is None else col[index]
-                                for name, col in self._columns().items()})
-        i = range(len(self))[index]
-        return next(iter(self[i:i + 1]))
-
-    def __iter__(self):
-        columns = [[None] * len(self) if col is None else col.tolist()
-                   for col in self._columns().values()]
-        for i, z_l0, z_r0, a, b, ia, ib, b_seen, a_seen, *flags_and_outcomes in zip(*columns):
-            yield PairRecord(i, z_l0, z_r0, a, b, ia, ib, SettingPair(a, b_seen),
-                             SettingPair(a_seen, b), *flags_and_outcomes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairTable):
             return NotImplemented
         # np.array_equal(None, None) holds, and None never equals an array
-        return all(np.array_equal(x, y)
-                   for x, y in zip(self._columns().values(), other._columns().values()))
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -329,8 +285,7 @@ class BellEstimate:
     """Four correlators with their cell sizes, combined into S.
 
     ``n_values`` are the denominators actually used, so their meaning
-    follows the normalization convention of the run. Count rates are
-    attached when a quiescent baseline is available.
+    follows the normalization convention of the run.
     """
 
     e_values: tuple[float, float, float, float]
@@ -338,19 +293,12 @@ class BellEstimate:
     s_signed: float
     s_abs: float
     sigma_s: float
-    q1: float | None = None
-    q1p: float | None = None
-    c2: float | None = None
-    c2p: float | None = None
 
     def per_setting(self) -> dict:
         return {
             label: {"E": self.e_values[i], "N": self.n_values[i]}
             for i, label in enumerate(CELL_LABELS)
         }
-
-    def with_rates(self, rates: "CountRates") -> "BellEstimate":
-        return replace(self, q1=rates.q1, q1p=rates.q1p, c2=rates.c2, c2p=rates.c2p)
 
 
 @dataclass(frozen=True)
@@ -377,15 +325,19 @@ class CountRates:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Full outcome of one run.
+    """Full outcome of one run, built once by ``run_epr``.
 
-    ``off_menu`` counts the pairs with a setting outside its side's menu
-    (possible only with an explicit list); they fall out of every cell.
+    ``records`` is the run's ``PairTable``, outcomes included. ``bell``
+    is formed from the cells on first use and is None while a cell is
+    empty. ``off_menu`` counts the pairs with a setting outside its
+    side's menu (possible only with an explicit list); they fall out of
+    every cell. ``rates`` holds the count rates against a quiescent
+    baseline, for a caller that ran one:
+    ``replace(report, rates=count_rates(report, baseline))``.
     """
 
     config: ExperimentConfig
     records: PairTable
-    bell: BellEstimate | None
     cell_counts: tuple[int, int, int, int]
     cell_sums: tuple[int, int, int, int]
     cell_launches: tuple[int, int, int, int]
@@ -394,6 +346,7 @@ class ExperimentReport:
     coincidences: int
     off_menu: int
     runtime_s: float
+    rates: CountRates | None = None
 
     @property
     def switching_active(self) -> bool:
@@ -412,6 +365,14 @@ class ExperimentReport:
         if denom == 0:
             raise EstimationError(f"empty setting cell {CELL_LABELS[cell]}")
         return self.cell_sums[cell] / denom, denom
+
+    @functools.cached_property
+    def bell(self) -> BellEstimate | None:
+        """The four correlators combined into S; None while a cell is empty."""
+        if not all(self.denominators):
+            return None
+        e_values, n_values = zip(*(self.correlator(i) for i in range(4)))
+        return BellEstimate(e_values, n_values, *chsh(e_values, n_values))
 
 
 def chsh(
@@ -611,7 +572,7 @@ def _transport_all(
     get one system each. Systems go through the retiring transport in
     fixed-size chunks, which only bound the working memory: systems are
     independent, so the chunk size changes no result. Only the exit
-    signs are needed; ties go up, as in ``sign_outcome``.
+    signs are needed.
     """
     coeff = derive_coefficients(cfg.physics)
     icfg = cfg.transport_grid()
@@ -624,7 +585,7 @@ def _transport_all(
         out_l[lo:hi], out_r[lo:hi] = integrate_views(
             integrate_retiring, tuple(a[lo:hi] for a in systems), a_sys, b_sys,
             cfg.mode, coeff, icfg, lo)
-    return np.where(out_l[a_sys] >= 0.0, 1, -1), np.where(out_r[b_sys] >= 0.0, 1, -1)
+    return sign_outcome(out_l[a_sys]), sign_outcome(out_r[b_sys])
 
 
 def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
@@ -644,10 +605,9 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     cell_sums = tuple(np.bincount(cell[counted], weights=(outcome_a * outcome_b)[counted],
                                   minlength=4).astype(int).tolist())
 
-    report = ExperimentReport(
+    return ExperimentReport(
         config=cfg,
         records=table,
-        bell=None,
         cell_counts=cell_counts,
         cell_sums=cell_sums,
         cell_launches=cell_launches,
@@ -655,20 +615,8 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
         singles_b=int(table.survived_b.sum()),
         coincidences=int(coincident.sum()),
         off_menu=len(table) - int(on_menu.sum()),
-        runtime_s=0.0,
+        runtime_s=time.perf_counter() - start,
     )
-    bell: BellEstimate | None = None
-    if all(d > 0 for d in report.denominators):
-        e_values, n_values = zip(*(report.correlator(i) for i in range(4)))
-        s_signed, s_abs, sigma_s = chsh(e_values, n_values)
-        bell = BellEstimate(
-            e_values=e_values,
-            n_values=n_values,
-            s_signed=s_signed,
-            s_abs=s_abs,
-            sigma_s=sigma_s,
-        )
-    return replace(report, bell=bell, runtime_s=time.perf_counter() - start)
 
 
 def count_rates(switched: ExperimentReport, quiescent: ExperimentReport) -> CountRates:
@@ -722,13 +670,14 @@ def report_json_dict(report: ExperimentReport) -> dict:
     if bell is not None:
         per_setting = bell.per_setting()
         s_signed, s_abs, sigma_s = bell.s_signed, bell.s_abs, bell.sigma_s
-        rates = {"Q1": bell.q1, "Q1p": bell.q1p, "C2": bell.c2, "C2p": bell.c2p}
     else:
         per_setting = {
             label: {"E": None, "N": 0} for label in CELL_LABELS
         }
         s_signed = s_abs = sigma_s = None
-        rates = {"Q1": None, "Q1p": None, "C2": None, "C2p": None}
+    r = report.rates
+    rates = ({"Q1": r.q1, "Q1p": r.q1p, "C2": r.c2, "C2p": r.c2p} if r is not None
+             else dict.fromkeys(("Q1", "Q1p", "C2", "C2p")))
     return {
         "config_echo": report.config.to_dict(),
         "per_setting": per_setting,

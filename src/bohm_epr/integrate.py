@@ -93,9 +93,13 @@ class IntegrationConfig:
         return [*range(0, self.n_steps, self.record_every), self.n_steps]
 
 
-def sign_outcome(z: float) -> int:
-    """Detector outcome from a final transverse position. Ties go up."""
-    return 1 if z >= 0.0 else -1
+def sign_outcome(z):
+    """Detector outcome from a final transverse position. Ties go up.
+
+    A float gives an int, an array an int array of elementwise outcomes.
+    """
+    signs = np.where(np.asarray(z) >= 0.0, 1, -1)
+    return signs if signs.ndim else int(signs)
 
 
 @dataclass(frozen=True)

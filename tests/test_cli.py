@@ -18,6 +18,7 @@ from bohm_epr import (
     IntegrationConfig,
     Normalization,
     RawPhysicalInputs,
+    SettingPair,
     SwitchPolicy,
     derive_coefficients,
     integrate_batch,
@@ -265,6 +266,19 @@ def test_run_epr_rates_flag(tmp_path):
     assert 0.0 < report["C2p"] < report["Q1p"]
 
 
+def test_run_epr_rates_are_written_when_s_is_undefined(tmp_path):
+    # side B is parked, so three setting cells stay empty and S is undefined
+    ini = tmp_path / "one_sided.ini"
+    ini.write_text("[experiment]\nswitch_policy_b = static\nefficiency = inefficient\n"
+                   "kick_threshold = 0.0\n")
+    out = tmp_path / "rates"
+    assert main(["run-epr", "--config", str(ini), "--pairs", "400", "--seed", "505",
+                 "--rates", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["S_signed"] is None
+    assert (report["Q1"], report["Q1p"], report["C2"], report["C2p"]) == (1.0, 0.755, 1.0, 0.51)
+
+
 def test_run_epr_exit_codes(tmp_path):
     assert main(["run-epr", "--pairs", "0", "--out", str(tmp_path)]) == 2
     assert main(["run-epr", "--seed", "-5", "--out", str(tmp_path)]) == 2
@@ -296,6 +310,18 @@ def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["run-epr", "--events", "--pairs", "8"], "events.csv"),
+    (["dump-trajectories", "--pairs", "1"], "trajectories.csv"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, blocked):
+    # a directory in the output's place cannot be opened for writing, even by root
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot write {tmp_path / blocked}: ")
 
 
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
@@ -464,23 +490,25 @@ def test_dumped_trajectories_do_not_depend_on_batch_mates(tmp_path):
                         if line.split(",")[0] in ("pair_id", "0", "1", "2")]
 
     # each view's last sample is the exit of that view integrated alone
-    prepared = prepare_pairs(ExperimentConfig(n_pairs=6, master_seed=4,
-                                              mode=InformationMode.LOCAL))
-    assert any(p.seen_by_a != p.seen_by_b for p in prepared)
-    views = [(p, view, settings) for p in prepared
-             for view, settings in (("A", p.seen_by_a), ("B", p.seen_by_b))]
+    t = prepare_pairs(ExperimentConfig(n_pairs=6, master_seed=4, mode=InformationMode.LOCAL))
+    assert ((t.a_seen_by_b != t.setting_a) | (t.b_seen_by_a != t.setting_b)).any()
+    views = [(pair_id, view, (z_l0, z_r0), SettingPair(*angles))
+             for pair_id, z_l0, z_r0, a, b, b_seen, a_seen in zip(*(column.tolist() for column in (
+                 t.pair_id, t.z_l0, t.z_r0, t.setting_a, t.setting_b, t.b_seen_by_a,
+                 t.a_seen_by_b)))
+             for view, angles in (("A", (a, b_seen)), ("B", (a_seen, b)))]
     co = derive_coefficients(RawPhysicalInputs())
     exit_l, exit_r = integrate_batch(
-        np.array([p.z_l0 for p, _, _ in views]), np.array([p.z_r0 for p, _, _ in views]),
-        np.array([s.weights()[0] for _, _, s in views]),
-        np.array([s.weights()[1] for _, _, s in views]),
+        np.array([z[0] for _, _, z, _ in views]), np.array([z[1] for _, _, z, _ in views]),
+        np.array([s.weights()[0] for _, _, _, s in views]),
+        np.array([s.weights()[1] for _, _, _, s in views]),
         co, IntegrationConfig(dt=1.0e-6, duration=co.transit_time))
     last = {tuple(row.split(",")[:2]): row.split(",")[4:]
             for row in lines[6][1:] if row.split(",")[2] == "3000"}
     assert len(last) == len(views)
-    for i, (pair, view, _) in enumerate(views):
-        assert last[(str(pair.pair_id), view)] == [repr(float(exit_l[i])),
-                                                   repr(float(exit_r[i]))]
+    for i, (pair_id, view, _, _) in enumerate(views):
+        assert last[(str(pair_id), view)] == [repr(float(exit_l[i])),
+                                              repr(float(exit_r[i]))]
 
 
 @pytest.mark.parametrize("mode,seed,view", [

@@ -33,6 +33,7 @@ from bohm_epr import (
 from bohm_epr.experiment import (
     CELL_LABELS,
     EVENT_HEADER,
+    PairTable,
     init_stream,
     pair_stream,
     prepare_pairs,
@@ -159,21 +160,26 @@ def test_pair_streams_are_reproducible_and_distinct():
     assert np.array_equal(i1, i2)
 
 
+def _split_views(table):
+    """Per pair: whether the two observers attribute different setting pairs."""
+    return (table.a_seen_by_b != table.setting_a) | (table.b_seen_by_a != table.setting_b)
+
+
 def test_smoke_run_invariants(small_nonlocal_report):
     report = small_nonlocal_report
     cfg = report.config
-    assert len(report.records) == cfg.n_pairs
-    for r in report.records:
-        assert r.outcome_a in (-1, 1) and r.outcome_b in (-1, 1)
-        assert r.coincident == (r.survived_a and r.survived_b)
-        assert r.setting_a in cfg.angles_a
-        assert r.setting_b in cfg.angles_b
-        assert cfg.angles_a[r.a_index] == r.setting_a
-        assert cfg.angles_b[r.b_index] == r.setting_b
-        # nonlocal attributions always coincide
-        assert r.seen_by_a == r.seen_by_b
-        # efficient detection keeps everything
-        assert r.survived_a and r.survived_b
+    t = report.records
+    assert len(t) == cfg.n_pairs
+    assert set(t.outcome_a.tolist()) <= {-1, 1} and set(t.outcome_b.tolist()) <= {-1, 1}
+    assert report.coincidences == int((t.survived_a & t.survived_b).sum())
+    assert set(t.setting_a.tolist()) <= set(cfg.angles_a)
+    assert set(t.setting_b.tolist()) <= set(cfg.angles_b)
+    assert np.array_equal(np.array(cfg.angles_a)[t.a_index], t.setting_a)
+    assert np.array_equal(np.array(cfg.angles_b)[t.b_index], t.setting_b)
+    # nonlocal attributions always coincide
+    assert not _split_views(t).any()
+    # efficient detection keeps everything
+    assert t.survived_a.all() and t.survived_b.all()
     assert report.singles_a == cfg.n_pairs
     assert report.singles_b == cfg.n_pairs
     assert report.coincidences == cfg.n_pairs
@@ -200,11 +206,10 @@ def test_local_mode_diverges_from_nonlocal_under_slow_news():
     base = dict(n_pairs=80, master_seed=55)
     local = run_epr(ExperimentConfig(mode=InformationMode.LOCAL, **base))
     nonlocal_ = run_epr(ExperimentConfig(mode=InformationMode.NONLOCAL, **base))
-    split_views = [r for r in local.records if r.seen_by_a != r.seen_by_b]
-    assert split_views, "slow news should desynchronize some attributions"
-    outcomes_l = [(r.outcome_a, r.outcome_b) for r in local.records]
-    outcomes_n = [(r.outcome_a, r.outcome_b) for r in nonlocal_.records]
-    assert outcomes_l != outcomes_n
+    assert _split_views(local.records).any(), "slow news should desynchronize some attributions"
+    outcomes_l = np.stack((local.records.outcome_a, local.records.outcome_b))
+    outcomes_n = np.stack((nonlocal_.records.outcome_a, nonlocal_.records.outcome_b))
+    assert not np.array_equal(outcomes_l, outcomes_n)
 
 
 @st.composite
@@ -367,14 +372,14 @@ def test_explicit_switch_lists():
         switch_policy_b=SwitchPolicy.STATIC)
     prepared = prepare_pairs(cfg)
     # pair 0 enters at 3.5 ms, before the 5.5 ms switch
-    assert prepared[0].setting_a == 0.3
-    assert not prepared[0].switched_a
+    assert prepared.setting_a[0] == 0.3
+    assert not prepared.switched_a[0]
     # pair 1 launches at 10 ms, well after the switch: sees 0.9, unswitched
-    assert prepared[1].setting_a == 0.9
-    assert not prepared[1].switched_a
+    assert prepared.setting_a[1] == 0.9
+    assert not prepared.switched_a[1]
     # off-menu angles are excluded from the correlator cells
-    assert prepared[0].a_index == -1
-    assert prepared[0].b_index == 0
+    assert prepared.a_index[0] == -1
+    assert prepared.b_index[0] == 0
     report = run_epr(cfg)
     assert report.bell is None
 
@@ -400,10 +405,11 @@ def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explic
     k = 7
     limited = prepare_pairs(cfg, limit=k)
     assert len(calls) == k
-    assert limited == full[:k]
+    assert limited == PairTable(**{name: column[:k] for name, column in vars(full).items()
+                                   if column is not None})
     # local mode reads news of earlier launches, and pairs get lost
-    assert any(p.seen_by_a != p.seen_by_b for p in limited)
-    assert not all(p.survived_a and p.survived_b for p in limited)
+    assert _split_views(limited).any()
+    assert not (limited.survived_a & limited.survived_b).all()
 
 
 def test_explicit_list_validation_happens_at_run_time():
@@ -501,7 +507,7 @@ def test_golden_report_and_events(name, tmp_path):
     if name == "local_inefficient_rates":
         # attached as run-epr --rates does
         rates = count_rates(report, run_epr(quiescent_config(cfg)))
-        report = replace(report, bell=report.bell.with_rates(rates))
+        report = replace(report, rates=rates)
     # explicit_a parks side A on 0.3, off its menu, for 60 of the 200 pairs
     assert report.off_menu == (60 if name == "explicit_off_menu" else 0)
     doc = report_json_dict(report)
@@ -558,21 +564,24 @@ def test_aggregation_matches_a_recount_at_every_chunk_size(cfg):
     for chunk in (1, 7, 4096):
         with mock.patch.object(experiment_mod, "_BATCH_CHUNK", chunk):
             report = run_epr(cfg)
+        t = report.records
+        rows = list(zip(*(column.tolist() for column in (
+            t.a_index, t.b_index, t.survived_a, t.survived_b, t.outcome_a, t.outcome_b))))
         launches, counts, sums = [0] * 4, [0] * 4, [0] * 4
-        for r in report.records:
-            assert r.outcome_a in (-1, 1) and r.outcome_b in (-1, 1)
-            if r.a_index >= 0 and r.b_index >= 0:
-                cell = 2 * r.a_index + r.b_index
+        for a_index, b_index, survived_a, survived_b, outcome_a, outcome_b in rows:
+            assert outcome_a in (-1, 1) and outcome_b in (-1, 1)
+            if a_index >= 0 and b_index >= 0:
+                cell = 2 * a_index + b_index
                 launches[cell] += 1
-                if r.coincident:
+                if survived_a and survived_b:
                     counts[cell] += 1
-                    sums[cell] += r.outcome_a * r.outcome_b
+                    sums[cell] += outcome_a * outcome_b
         assert report.cell_launches == tuple(launches)
         assert report.cell_counts == tuple(counts)
         assert report.cell_sums == tuple(sums)
-        assert report.singles_a == sum(r.survived_a for r in report.records)
-        assert report.singles_b == sum(r.survived_b for r in report.records)
-        assert report.coincidences == sum(r.coincident for r in report.records)
+        assert report.singles_a == sum(row[2] for row in rows)
+        assert report.singles_b == sum(row[3] for row in rows)
+        assert report.coincidences == sum(row[2] and row[3] for row in rows)
         doc = report_json_dict(report)
         doc.pop("runtime_s")
         assert all(type(leaf) in (int, float, str, type(None)) for leaf in _leaves(doc))
