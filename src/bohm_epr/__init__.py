@@ -21,6 +21,7 @@ from .experiment import (
     ExperimentReport,
     Normalization,
     PairTable,
+    Survival,
     SwitchPolicy,
     TableRow,
     chsh,
@@ -30,6 +31,8 @@ from .experiment import (
     quiescent_config,
     report_json_dict,
     run_epr,
+    setting_timelines,
+    survival,
     table1_run,
     write_events_csv,
 )
@@ -104,6 +107,7 @@ __all__ = [
     "SideTimeline",
     "SpringMode",
     "SpringTrajectory",
+    "Survival",
     "SwitchPolicy",
     "TableRow",
     "TrajectoryState",
@@ -123,11 +127,13 @@ __all__ = [
     "report_json_dict",
     "run_epr",
     "sample_initial",
+    "setting_timelines",
     "sign_outcome",
     "simulate_spring",
     "spring_energy",
     "stable_ratio",
     "static_timeline",
+    "survival",
     "table1_run",
     "velocity_pair",
     "write_events_csv",

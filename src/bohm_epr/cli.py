@@ -11,6 +11,9 @@ Subcommands:
 * ``dump-trajectories``: recorded per-view trajectories for the first
   few pairs of a run.
 
+A command's output files appear in its output directory together, once
+all of them are written, or not at all.
+
 Configuration comes from an INI file with flat key = value lines. The
 keys are the field names of ExperimentConfig, in field order: the fields
 of RawPhysicalInputs under [physics], dt and workers under
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import datetime
 import enum
@@ -52,6 +56,8 @@ from .experiment import (
     quiescent_config,
     report_json_dict,
     run_epr,
+    setting_timelines,
+    survival,
     table1_run,
     view_systems,
     write_events_csv,
@@ -263,10 +269,10 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def write_manifest(out_dir: str, cfg: ExperimentConfig | None, files: list[str],
+def write_manifest(path: str, cfg: ExperimentConfig | None, files: list[str],
                    command: str, provenance: dict | None = None,
                    started: str | None = None, extra: dict | None = None) -> str:
-    """Write manifest.json listing every artifact of this invocation.
+    """Write the manifest, listing every artifact of this invocation, to ``path``.
 
     ``extra`` holds further top-level keys; they take precedence over the
     ones derived from ``cfg``.
@@ -283,7 +289,7 @@ def write_manifest(out_dir: str, cfg: ExperimentConfig | None, files: list[str],
         **(extra or {}),
         "files": sorted(files),
     }
-    return _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return _write_json(path, manifest)
 
 
 def _write_json(path: str, doc: dict) -> str:
@@ -292,6 +298,39 @@ def _write_json(path: str, doc: dict) -> str:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return path
+
+
+@contextlib.contextmanager
+def _run_files(out_dir: str):
+    """Publish a command's outputs in ``out_dir`` all together, or none of them.
+
+    Yields ``stage(name)``, the temporary path in ``out_dir`` to write
+    output ``name`` to. When the block ends, each staged file is renamed
+    to its name in staging order, so the manifest, staged last, comes
+    last. When the block or a rename fails, every staged file and every
+    file already renamed is removed, and an OSError about a staged file
+    is raised again under the output's own name.
+    """
+    staged: dict[str, str] = {}
+
+    def stage(name: str) -> str:
+        tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+        staged[tmp] = os.path.join(out_dir, name)
+        return tmp
+
+    placed = []
+    try:
+        yield stage
+        for tmp, final in staged.items():
+            os.replace(tmp, final)
+            placed.append(final)
+    except BaseException as err:
+        for path in (*staged, *placed):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(err, OSError) and err.filename in staged:
+            raise OSError(err.errno, err.strerror, staged[err.filename]) from err
+        raise
 
 
 def _utc_now() -> str:
@@ -332,16 +371,22 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out)
     report = run_epr(cfg)
     if args.rates:
-        baseline = run_epr(quiescent_config(cfg))
+        # the parked bench never switches, so its counts need no draw and no transport
+        quiet = quiescent_config(cfg)
+        baseline = survival(quiet, setting_timelines(quiet))
         report = dataclasses.replace(report, rates=count_rates(report, baseline))
+    counters = {"off_menu_pairs": report.off_menu,
+                "lost_a": cfg.n_pairs - report.singles_a,
+                "lost_b": cfg.n_pairs - report.singles_b}
 
     files = ["report.json", "manifest.json"]
-    _write_json(os.path.join(out_dir, "report.json"), report_json_dict(report))
-    if args.events:
-        write_events_csv(report, os.path.join(out_dir, "events.csv"))
-        files.append("events.csv")
-    write_manifest(out_dir, cfg, files, "run-epr", provenance, started,
-                   extra={"counters": {"off_menu_pairs": report.off_menu}})
+    with _run_files(out_dir) as stage:
+        _write_json(stage("report.json"), report_json_dict(report))
+        if args.events:
+            write_events_csv(report, stage("events.csv"))
+            files.append("events.csv")
+        write_manifest(stage("manifest.json"), cfg, files, "run-epr", provenance, started,
+                       extra={"counters": counters})
 
     bell = report.bell
     if bell is not None:
@@ -409,15 +454,16 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         "replicates": replicates,
         "rows": rows_doc,
     }
-    _write_json(os.path.join(out_dir, "table1.json"), table_doc)
     runs = [
         {"replicate": r, "label": row.label, "seed": row.config.master_seed,
          "config_sha256": config_digest(row.config)}
         for r, rows in enumerate(all_rows) for row in rows
     ]
-    write_manifest(out_dir, None, ["table1.json", "manifest.json"], "table1",
-                   {"seed_source": seed_source}, started,
-                   extra={"seed": seed, "rows": runs})
+    with _run_files(out_dir) as stage:
+        _write_json(stage("table1.json"), table_doc)
+        write_manifest(stage("manifest.json"), None, ["table1.json", "manifest.json"],
+                       "table1", {"seed_source": seed_source}, started,
+                       extra={"seed": seed, "rows": runs})
     print(f"wrote table1.json, manifest.json in {out_dir}")
     return 0
 
@@ -451,17 +497,18 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out)
 
     files = ["manifest.json"]
-    for mode, dt in steps.items():
-        traj = simulate_spring(params, mode, duration, dt)
-        fname = f"hooke_{mode.value}.csv"
-        write_spring_csv(traj, os.path.join(out_dir, fname))
-        files.append(fname)
-        energy = spring_energy(params, traj)
-        drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
-        print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
-              f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
-    write_manifest(out_dir, None, files, "hooke-demo",
-                   {"tau": args.tau, "periods": args.periods}, started)
+    with _run_files(out_dir) as stage:
+        for mode, dt in steps.items():
+            traj = simulate_spring(params, mode, duration, dt)
+            fname = f"hooke_{mode.value}.csv"
+            write_spring_csv(traj, stage(fname))
+            files.append(fname)
+            energy = spring_energy(params, traj)
+            drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
+            print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
+                  f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
+        write_manifest(stage("manifest.json"), None, files, "hooke-demo",
+                       {"tau": args.tau, "periods": args.periods}, started)
     print(f"wrote {', '.join(sorted(files))} in {out_dir}")
     return 0
 
@@ -484,16 +531,16 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     systems, a_sys, b_sys = view_systems(table)
     z_l, z_r = integrate_views(integrate_batch, systems, a_sys, b_sys, cfg.mode, coeff, icfg)
     steps = icfg.recorded_steps()
-    path = os.path.join(out_dir, "trajectories.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pair_id,view,step,t,z_L,z_R\n")
-        for pair_id, a, b in zip(table.pair_id.tolist(), a_sys.tolist(), b_sys.tolist()):
-            for view, s in (("A", a), ("B", b)):
-                for k, step in enumerate(steps):
-                    fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
-                             f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
-    write_manifest(out_dir, cfg, ["trajectories.csv", "manifest.json"],
-                   "dump-trajectories", provenance, started)
+    with _run_files(out_dir) as stage:
+        with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
+            fh.write("pair_id,view,step,t,z_L,z_R\n")
+            for pair_id, a, b in zip(table.pair_id.tolist(), a_sys.tolist(), b_sys.tolist()):
+                for view, s in (("A", a), ("B", b)):
+                    for k, step in enumerate(steps):
+                        fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
+                                 f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
+        write_manifest(stage("manifest.json"), cfg, ["trajectories.csv", "manifest.json"],
+                       "dump-trajectories", provenance, started)
     print(f"dumped {len(table)} pairs to trajectories.csv in {out_dir}")
     return 0
 
@@ -526,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--events", action="store_true",
                      help="also write per-pair events.csv")
     run.add_argument("--rates", action="store_true",
-                     help="also run a quiescent baseline and report count rates")
+                     help="also report count rates against the parked bench "
+                          "(no second run)")
     run.set_defaults(func=_cmd_run_epr)
 
     table = subs.add_parser("table1", help="four-row mode/efficiency table")

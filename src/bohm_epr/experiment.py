@@ -332,8 +332,9 @@ class ExperimentReport:
     empty. ``off_menu`` counts the pairs with a setting outside its
     side's menu (possible only with an explicit list); they fall out of
     every cell. ``rates`` holds the count rates against a quiescent
-    baseline, for a caller that ran one:
-    ``replace(report, rates=count_rates(report, baseline))``.
+    baseline, for a caller that attaches them:
+    ``replace(report, rates=count_rates(report, baseline))`` (see
+    ``count_rates`` for the two forms of baseline).
     """
 
     config: ExperimentConfig
@@ -423,22 +424,91 @@ def derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
-def _policy_timeline(
-    policy: SwitchPolicy,
-    menu: tuple[float, float],
-    rand_idx: np.ndarray,
-    launches: np.ndarray,
-    explicit: tuple[tuple[float, float], ...],
-    init_idx: int,
-) -> SideTimeline:
-    if policy is SwitchPolicy.STATIC:
-        return static_timeline(menu[0])
-    if policy is SwitchPolicy.EXPLICIT_LIST:
-        return SideTimeline(entries=tuple((float(t), float(a)) for t, a in explicit))
-    angles = np.array(menu)[rand_idx]
-    switch = angles != np.concatenate(([menu[init_idx]], angles[:-1]))
-    return SideTimeline(entries=((-math.inf, menu[init_idx]),
-                                 *zip(launches[switch].tolist(), angles[switch].tolist())))
+def _launches(cfg: ExperimentConfig, n: int) -> np.ndarray:
+    return np.arange(n, dtype=float) * cfg.pair_period
+
+
+def setting_timelines(
+    cfg: ExperimentConfig,
+    n: int | None = None,
+    menu_draws: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SettingTimelines:
+    """Both analyzers' switching histories over the first ``n`` launches (all by default).
+
+    A per-pair-random side starts at the angle the init stream drew and
+    at launch i takes the menu angle of index ``menu_draws[side][i]``,
+    drawn by pair i's stream. Static and explicit-list sides need no draw.
+    """
+    sides = ((cfg.switch_policy_a, cfg.angles_a, cfg.explicit_a),
+             (cfg.switch_policy_b, cfg.angles_b, cfg.explicit_b))
+    if any(policy is SwitchPolicy.PER_PAIR_RANDOM for policy, _, _ in sides):
+        if menu_draws is None:
+            raise ValueError("per-pair-random switching needs the pairs' menu draws")
+        rng_init = init_stream(cfg.master_seed)
+        firsts = [menu[int(rng_init.integers(0, 2))] for _, menu, _ in sides]
+    launches = _launches(cfg, cfg.n_pairs if n is None else n)
+    timelines = []
+    for k, (policy, menu, explicit) in enumerate(sides):
+        if policy is SwitchPolicy.STATIC:
+            timelines.append(static_timeline(menu[0]))
+        elif policy is SwitchPolicy.EXPLICIT_LIST:
+            timelines.append(SideTimeline(entries=tuple((float(t), float(a)) for t, a in explicit)))
+        else:
+            angles = np.array(menu)[menu_draws[k]]
+            switch = angles != np.concatenate(([firsts[k]], angles[:-1]))
+            timelines.append(SideTimeline(entries=(
+                (-math.inf, firsts[k]), *zip(launches[switch].tolist(), angles[switch].tolist()))))
+    return SettingTimelines(*timelines, separation=cfg.separation, signal_speed=cfg.signal_speed)
+
+
+@dataclass(frozen=True, eq=False)
+class Survival:
+    """Which pairs' analyzers switched in flight, and which particles that left detected.
+
+    Row k is pair k. ``singles_*`` and ``coincidences`` read as on an
+    ``ExperimentReport``, so ``count_rates`` takes either as its baseline.
+    """
+
+    config: ExperimentConfig
+    switched_a: np.ndarray
+    switched_b: np.ndarray
+    survived_a: np.ndarray
+    survived_b: np.ndarray
+
+    @property
+    def singles_a(self) -> int:
+        return int(self.survived_a.sum())
+
+    @property
+    def singles_b(self) -> int:
+        return int(self.survived_b.sum())
+
+    @property
+    def coincidences(self) -> int:
+        return int((self.survived_a & self.survived_b).sum())
+
+
+def survival(cfg: ExperimentConfig, timelines: SettingTimelines,
+             n: int | None = None) -> Survival:
+    """Switches during each of the first ``n`` flights [launch, entry], and the losses they cause.
+
+    A side switched when its timeline changes inside the closed window;
+    ``detector_loss`` then decides whether its particle is lost. No pair
+    stream is drawn and nothing is transported.
+    """
+    launches = _launches(cfg, cfg.n_pairs if n is None else n)
+    t_entry = launches + cfg.flight_time
+    switched_a = timelines.side_a.changes_in(launches, t_entry)
+    switched_b = timelines.side_b.changes_in(launches, t_entry)
+    lost_on_switch = not detector_loss(True, cfg.efficiency, cfg.physics.beam_speed,
+                                       cfg.physics.light_speed, cfg.kick_threshold)
+    return Survival(
+        config=cfg,
+        switched_a=switched_a,
+        switched_b=switched_b,
+        survived_a=~(switched_a & lost_on_switch),
+        survived_b=~(switched_b & lost_on_switch),
+    )
 
 
 def _menu_indices(menu: tuple[float, float], angles: np.ndarray) -> np.ndarray:
@@ -451,7 +521,8 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
     Returns the first ``limit`` pairs (all by default) ready for
     transport. Pairs that lose a particle are still prepared in full;
     their trajectories remain well defined even though only surviving
-    outcomes reach the detectors.
+    outcomes reach the detectors. The switching and loss columns come
+    from ``setting_timelines`` and ``survival``.
 
     Only the first ``limit`` pair streams are drawn and only their
     launches enter the switching timelines. That cut is exact:
@@ -470,26 +541,11 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
         b_rand[i] = int(rng.integers(0, 2))
         z_l0[i], z_r0[i] = sample_initial(rng, cfg.physics.packet_width)
 
-    rng_init = init_stream(cfg.master_seed)
-    init_a = int(rng_init.integers(0, 2))
-    init_b = int(rng_init.integers(0, 2))
-
-    launches = np.arange(n, dtype=float) * cfg.pair_period
-    timelines = SettingTimelines(
-        side_a=_policy_timeline(
-            cfg.switch_policy_a, cfg.angles_a, a_rand, launches, cfg.explicit_a, init_a),
-        side_b=_policy_timeline(
-            cfg.switch_policy_b, cfg.angles_b, b_rand, launches, cfg.explicit_b, init_b),
-        separation=cfg.separation,
-        signal_speed=cfg.signal_speed,
-    )
-    t_entry = launches + cfg.flight_time
+    timelines = setting_timelines(cfg, n, (a_rand, b_rand))
+    launches = _launches(cfg, n)
     setting_a, b_seen_by_a = seen_angles(Side.L, cfg.flight_time, timelines, cfg.mode, launches)
     a_seen_by_b, setting_b = seen_angles(Side.R, cfg.flight_time, timelines, cfg.mode, launches)
-    switched_a = timelines.side_a.changes_in(launches, t_entry)
-    switched_b = timelines.side_b.changes_in(launches, t_entry)
-    lost_on_switch = not detector_loss(True, cfg.efficiency, cfg.physics.beam_speed,
-                                       cfg.physics.light_speed, cfg.kick_threshold)
+    detected = survival(cfg, timelines, n)
     return PairTable(
         pair_id=np.arange(n),
         z_l0=z_l0,
@@ -500,10 +556,10 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
         b_index=_menu_indices(cfg.angles_b, setting_b),
         b_seen_by_a=b_seen_by_a,
         a_seen_by_b=a_seen_by_b,
-        switched_a=switched_a,
-        switched_b=switched_b,
-        survived_a=~(switched_a & lost_on_switch),
-        survived_b=~(switched_b & lost_on_switch),
+        switched_a=detected.switched_a,
+        switched_b=detected.switched_b,
+        survived_a=detected.survived_a,
+        survived_b=detected.survived_b,
     )
 
 
@@ -619,15 +675,20 @@ def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def count_rates(switched: ExperimentReport, quiescent: ExperimentReport) -> CountRates:
+def count_rates(switched: ExperimentReport | Survival,
+                quiescent: ExperimentReport | Survival) -> CountRates:
     """Singles and coincidence rates of a switching run against a baseline.
 
-    The baseline must come from a run with both analyzers static; rates
-    are per launch, and the unprimed values belong to the baseline.
+    The baseline must come from a bench with both analyzers static;
+    rates are per launch, and the unprimed values belong to the baseline.
+    Only the configs, singles and coincidences are read, so the baseline
+    may be a full ``run_epr(quiet)`` with ``quiet = quiescent_config(cfg)``
+    or, as ``run-epr --rates`` forms it with no draw and no transport,
+    ``survival(quiet, setting_timelines(quiet))``.
     """
     if quiescent is None:
         raise EstimationError("count rates need a quiescent baseline run")
-    if quiescent.switching_active:
+    if quiescent.config.switching_active:
         raise EstimationError("the quiescent baseline must not have switching enabled")
     n_q = quiescent.config.n_pairs
     n_s = switched.config.n_pairs

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+import bohm_epr.experiment as experiment_mod
 from bohm_epr import (
     ConfigError,
     Efficiency,
@@ -236,7 +237,7 @@ def test_run_epr_writes_report_events_manifest(tmp_path):
     assert manifest["files"] == names
     assert manifest["provenance"]["flag_overrides"]["n_pairs"] == 8
     assert manifest["config_sha256"] is not None
-    assert manifest["counters"] == {"off_menu_pairs": 0}
+    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 0, "lost_b": 0}
 
     events = (out / "events.csv").read_text().splitlines()
     assert len(events) == 9
@@ -277,6 +278,36 @@ def test_run_epr_rates_are_written_when_s_is_undefined(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["S_signed"] is None
     assert (report["Q1"], report["Q1p"], report["C2"], report["C2p"]) == (1.0, 0.755, 1.0, 0.51)
+    # Q1p_a = C2p = 0.51 keeps 204 of side A's 400 particles; parked B loses none
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 196, "lost_b": 0}
+
+
+def test_run_epr_rates_run_one_experiment(tmp_path, monkeypatch):
+    # the quiescent baseline is counted, not run: --rates draws no pair
+    # stream and transports no system beyond the switched run's own
+    calls = {"streams": [], "transports": 0}
+    real_stream, real_transport = experiment_mod.pair_stream, experiment_mod.integrate_retiring
+
+    def counted_stream(master_seed, pair_id):
+        calls["streams"].append(pair_id)
+        return real_stream(master_seed, pair_id)
+
+    def counted_transport(*args, **kwargs):
+        calls["transports"] += 1
+        return real_transport(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod, "pair_stream", counted_stream)
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", counted_transport)
+    seen = {}
+    for flags in ((), ("--rates",)):
+        calls["streams"], calls["transports"] = [], 0
+        assert main(["run-epr", "--pairs", "60", "--seed", "41", "--efficiency", "inefficient",
+                     *flags, "--out", str(tmp_path / f"run{len(flags)}")]) == 0
+        seen[flags] = (sorted(calls["streams"]), calls["transports"])
+    assert seen[()][0] == list(range(60))
+    assert seen[()][1] >= 1
+    assert seen[("--rates",)] == seen[()]
 
 
 def test_run_epr_exit_codes(tmp_path):
@@ -301,7 +332,7 @@ def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
     out = tmp_path / "run"
     assert main(["run-epr", "--config", str(ini), "--pairs", "200", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counters"] == {"off_menu_pairs": 60}
+    assert manifest["counters"] == {"off_menu_pairs": 60, "lost_a": 0, "lost_b": 0}
     assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
 
 
@@ -322,6 +353,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, blocked):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(
         f"configuration error: cannot write {tmp_path / blocked}: ")
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["run-epr", "--events", "--pairs", "8"], "events.csv"),
+    (["table1", "--pairs", "40"], "table1.json"),
+    (["dump-trajectories", "--pairs", "1"], "trajectories.csv"),
+    (["hooke-demo", "--periods", "1"], "hooke_cm.csv"),
+])
+def test_failed_output_leaves_no_partial_run(tmp_path, argv, blocked):
+    # every output is written under a temporary name and renamed only when all are
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == [blocked]
 
 
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):

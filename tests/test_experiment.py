@@ -27,6 +27,8 @@ from bohm_epr import (
     quiescent_config,
     report_json_dict,
     run_epr,
+    setting_timelines,
+    survival,
     table1_run,
     write_events_csv,
 )
@@ -587,3 +589,36 @@ def test_aggregation_matches_a_recount_at_every_chunk_size(cfg):
         assert all(type(leaf) in (int, float, str, type(None)) for leaf in _leaves(doc))
         docs.append(doc)
     assert docs[0] == docs[1] == docs[2]
+
+
+KICK = kick_ratio(ExperimentConfig().physics.beam_speed, ExperimentConfig().physics.light_speed)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs(), st.sampled_from((0.0, 0.5 * KICK, KICK, 2.0 * KICK, 1.0e-3)))
+@example(ExperimentConfig(n_pairs=40, master_seed=7, efficiency=Efficiency.INEFFICIENT), KICK)
+@example(ExperimentConfig(n_pairs=12, master_seed=8, efficiency=Efficiency.INEFFICIENT,
+                          mode=InformationMode.LOCAL, switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+                          explicit_a=((-math.inf, 0.0), (0.011, math.pi / 2.0))), 0.0)
+def test_parked_survival_counts_as_the_full_baseline_run(cfg, kick_threshold):
+    cfg = replace(cfg, kick_threshold=kick_threshold)
+    quiet = quiescent_config(cfg)
+    counted = survival(quiet, setting_timelines(quiet))
+    full = run_epr(quiet)
+    assert (counted.singles_a, counted.singles_b, counted.coincidences) == (
+        full.singles_a, full.singles_b, full.coincidences)
+    switched = run_epr(cfg)
+    assert count_rates(switched, counted) == count_rates(switched, full)
+    # prepare_pairs takes its switching and loss columns from the same split
+    streams = [pair_stream(cfg.master_seed, i) for i in range(cfg.n_pairs)]
+    menu_draws = np.array([(rng.integers(0, 2), rng.integers(0, 2)) for rng in streams]).T
+    split = survival(cfg, setting_timelines(cfg, menu_draws=tuple(menu_draws)))
+    t = switched.records
+    for name in ("switched_a", "switched_b", "survived_a", "survived_b"):
+        assert np.array_equal(getattr(split, name), getattr(t, name)), name
+
+
+def test_random_switching_needs_the_menu_draws():
+    with pytest.raises(ValueError, match="menu draws"):
+        setting_timelines(ExperimentConfig(switch_policy_b=SwitchPolicy.STATIC))
