@@ -37,8 +37,11 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import typing
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, EstimationError, IntegrationDiverged
@@ -275,7 +278,9 @@ def write_manifest(path: str, cfg: ExperimentConfig | None, files: list[str],
     """Write the manifest, listing every artifact of this invocation, to ``path``.
 
     ``extra`` holds further top-level keys; they take precedence over the
-    ones derived from ``cfg``.
+    ones derived from ``cfg``. ``environment`` names the python and numpy
+    versions, the operating system, its release and the machine, and the
+    CPU count the run saw.
     """
     manifest = {
         "tool": "bohm-epr",
@@ -286,6 +291,14 @@ def write_manifest(path: str, cfg: ExperimentConfig | None, files: list[str],
         "config_sha256": config_digest(cfg) if cfg is not None else None,
         "seed": cfg.master_seed if cfg is not None else None,
         "provenance": provenance or {},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            # not platform.platform(): on Linux it forks `uname -p` for the
+            # processor name, which cost about 10 ms and 0.4 MiB of peak RSS
+            "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+            "cpu_count": os.cpu_count(),
+        },
         **(extra or {}),
         "files": sorted(files),
     }
@@ -486,6 +499,7 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     modes = list(SpringMode) if args.coupling == "all" else [SpringMode(args.coupling)]
     # every grid is checked before anything is written or run
     steps = {}
+    n_steps = {}
     for mode in modes:
         if args.dt is not None:
             steps[mode] = args.dt
@@ -493,7 +507,7 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
             steps[mode] = args.tau / 8.0
         else:
             steps[mode] = params.period / 2000.0
-        spring_grid(params, mode, duration, steps[mode])
+        n_steps[mode.value] = spring_grid(params, mode, duration, steps[mode]).n_steps
     out_dir = _ensure_out(args.out)
 
     files = ["manifest.json"]
@@ -508,7 +522,8 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
             print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
                   f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
         write_manifest(stage("manifest.json"), None, files, "hooke-demo",
-                       {"tau": args.tau, "periods": args.periods}, started)
+                       {"tau": args.tau, "periods": args.periods}, started,
+                       extra={"counters": {"steps": n_steps}})
     print(f"wrote {', '.join(sorted(files))} in {out_dir}")
     return 0
 

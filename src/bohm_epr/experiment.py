@@ -17,7 +17,9 @@ pair i:
    current (nonlocal mode) or as old as the news delay
    separation / signal_speed (local mode). When the two attributions
    differ the pair is integrated once per view; each observer reads her
-   own exit sign from her own view.
+   own exit sign from her own view. Both views are read once, at magnet
+   entry, so a switch inside the transit, or news of one arriving there,
+   is refused as a ConfigError rather than ignored.
 4. Outcomes of pairs with both particles detected feed four correlator
    cells keyed by the settings in force at magnet entry, and the cells
    combine into the CHSH statistic
@@ -48,6 +50,7 @@ from .infomodel import (
     SettingTimelines,
     SideTimeline,
     check_geometry,
+    read_times,
     seen_angles,
     static_timeline,
 )
@@ -515,6 +518,35 @@ def _menu_indices(menu: tuple[float, float], angles: np.ndarray) -> np.ndarray:
     return np.where(angles == menu[0], 0, np.where(angles == menu[1], 1, -1))
 
 
+def _check_frozen_settings(cfg: ExperimentConfig, timelines: SettingTimelines,
+                           launches: np.ndarray) -> None:
+    """Refuse a switch, or news of one, that lands inside a pair's magnet transit.
+
+    Transport reads both views once, at magnet entry, so such a switch
+    would be ignored. Each side reads its own angle and, in local mode,
+    its partner's at ``read_times``; a switch counts when it falls
+    strictly after such a read and before the read plus the transit. A
+    switch at the read time itself is read there and is not refused.
+    """
+    grid = cfg.transport_grid()
+    transit = grid.n_steps * grid.dt
+    t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
+    reads = [(t_own, "analyzer {side} switches")]
+    if cfg.mode is InformationMode.LOCAL:
+        reads.append((t_partner, "news of analyzer {side}'s switch reaches side {partner}"))
+    for side, partner, timeline in (("A", "B", timelines.side_a), ("B", "A", timelines.side_b)):
+        for t_read, what in reads:
+            inside = timeline.changes_in(np.nextafter(t_read, math.inf),
+                                         np.nextafter(t_read + transit, -math.inf))
+            if inside.any():
+                i = int(np.argmax(inside))
+                entry = float(t_own[i])
+                raise ConfigError(
+                    f"pair {i}: {what.format(side=side, partner=partner)} inside its magnet "
+                    f"transit ({entry!r}, {entry + transit!r}) s; settings are read once, "
+                    f"at magnet entry")
+
+
 def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
     """Draw, switch, propagate information, and apply losses for each pair.
 
@@ -522,7 +554,8 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
     transport. Pairs that lose a particle are still prepared in full;
     their trajectories remain well defined even though only surviving
     outcomes reach the detectors. The switching and loss columns come
-    from ``setting_timelines`` and ``survival``.
+    from ``setting_timelines`` and ``survival``. A switch, or news of
+    one, inside a pair's magnet transit raises ConfigError.
 
     Only the first ``limit`` pair streams are drawn and only their
     launches enter the switching timelines. That cut is exact:
@@ -543,6 +576,7 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
 
     timelines = setting_timelines(cfg, n, (a_rand, b_rand))
     launches = _launches(cfg, n)
+    _check_frozen_settings(cfg, timelines, launches)
     setting_a, b_seen_by_a = seen_angles(Side.L, cfg.flight_time, timelines, cfg.mode, launches)
     a_seen_by_b, setting_b = seen_angles(Side.R, cfg.flight_time, timelines, cfg.mode, launches)
     detected = survival(cfg, timelines, n)

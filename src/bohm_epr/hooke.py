@@ -24,6 +24,13 @@ one entry point; its ``SpringMode`` picks one of four couplings:
   x2. For the instantaneous coupling this decomposition is exact.
   ``center_of_mass_spring`` is a shorthand for this mode.
 
+Every coupling but the retarded one with tau > 0 reads no history and is
+linear in the state, with at most affine time forcing. For those one
+``rk4_step`` is an exact affine map of the step index and the state, so
+``simulate_spring`` applies that step to probe states once, reads off its
+6x6 matrix on (x1, v1, x2, v2, 1, i), and fills the rows with powers of
+it. The retarded loop steps one row at a time.
+
 ``spring_grid`` states the grid rule once: the delay rule above, then
 ``integrate.IntegrationConfig``, the step rule transport uses. So a grid
 is checked before any buffer is allocated, and a caller can check every
@@ -41,6 +48,12 @@ import numpy as np
 from .errors import ConfigError
 from .integrate import IntegrationConfig, rk4_step
 from .physconst import check_finite_fields
+
+
+# Rows filled per block by the step-map powers T^1 ... T^_BLOCK: large
+# enough that the Python loop over blocks is cheap, small enough that the
+# powers take only about 74 kB.
+_BLOCK = 256
 
 
 class SpringMode(Enum):
@@ -158,6 +171,43 @@ def _rhs(params: HookeParams, mode: SpringMode, rows: np.ndarray, dt: float):
     return rhs
 
 
+def _step_map(rhs, dt: float) -> np.ndarray:
+    """RK4's one step of a history-free, affine ``rhs`` as a 6x6 matrix T.
+
+    On z = (x1, v1, x2, v2, 1, i), z_{i+1} = T z_i is ``rk4_step`` from
+    step i. The step is applied to the four unit states and the zero
+    state at step 0, and to the zero state at step 1; the forcing part is
+    affine in t, so those two zero-state images fix its column for every i.
+    """
+    probes = np.hstack((np.eye(4), np.zeros((4, 1))))
+    image = np.array(rk4_step(rhs, 0, dt, list(probes)))
+    drift = np.array(rk4_step(rhs, 1, dt, list(np.zeros((4, 1)))))[:, 0] - image[:, 4]
+    t_map = np.zeros((6, 6))
+    t_map[:4, :4] = image[:, :4] - image[:, 4:]
+    t_map[:4, 4] = image[:, 4]
+    t_map[:4, 5] = drift
+    t_map[4, 4] = t_map[5, 4] = t_map[5, 5] = 1.0
+    return t_map
+
+
+def _fill_by_step_map(rows: np.ndarray, t_map: np.ndarray) -> None:
+    """Fill rows[1:] from rows[0] with T^1 ... T^_BLOCK, one block of rows at a time.
+
+    The products are einsum, not matmul: matmul would start BLAS, whose
+    buffers add about 0.25 MiB to the peak resident set.
+    """
+    powers = np.empty((_BLOCK, 6, 6))
+    powers[0] = t_map
+    for k in range(1, _BLOCK):
+        powers[k] = np.einsum("ij,jk->ik", t_map, powers[k - 1])
+    z = np.array([*rows[0], 1.0, 0.0])
+    n = rows.shape[0] - 1
+    for s in range(0, n, _BLOCK):
+        block = np.einsum("kij,j->ki", powers[:min(_BLOCK, n - s)], z)
+        rows[s + 1:s + 1 + len(block)] = block[:, :4]
+        z = block[-1]
+
+
 def simulate_spring(
     params: HookeParams,
     mode: SpringMode,
@@ -166,16 +216,23 @@ def simulate_spring(
 ) -> SpringTrajectory:
     """Integrate the pair under the chosen coupling with fixed-step RK4.
 
-    Each step fills one row of (x1, v1, x2, v2). The state is a list of
-    Python floats: a numpy 4-vector costs more per operation than it saves.
+    Row i holds (x1, v1, x2, v2) at step i. A coupling that reads no
+    history fills the rows with powers of RK4's one-step map (see
+    ``_step_map``). The retarded coupling with a delay steps one row at a
+    time on a list of Python floats, since its force reads the rows
+    already written: a numpy 4-vector costs more per operation than it
+    saves.
     """
     rows = np.empty((spring_grid(params, mode, duration, dt).n_steps + 1, 4))
     rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
     rhs = _rhs(params, mode, rows, dt)
-    y = rows[0].tolist()
-    for i in range(rows.shape[0] - 1):
-        y = rk4_step(rhs, i, dt, y)
-        rows[i + 1] = y
+    if mode is SpringMode.RETARDED and params.delay > 0.0:
+        y = rows[0].tolist()
+        for i in range(rows.shape[0] - 1):
+            y = rk4_step(rhs, i, dt, y)
+            rows[i + 1] = y
+    else:
+        _fill_by_step_map(rows, _step_map(rhs, dt))
     return SpringTrajectory(
         t=np.arange(rows.shape[0]) * dt,
         x1=rows[:, 0].copy(),

@@ -127,6 +127,23 @@ class SettingTimelines:
         return self.separation / self.signal_speed
 
 
+def read_times(
+    t_eval: np.ndarray | float,
+    timelines: SettingTimelines,
+    mode: InformationMode,
+    origin: np.ndarray | float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The times a side reads its own angle and its partner's at each origin + t_eval.
+
+    In local mode the partner angle is read at origin + (t_eval - news_delay),
+    so a delay shorter than t_eval sees a switch at the origin however sums round.
+    """
+    if not (np.isfinite(t_eval).all() and np.isfinite(origin).all()):
+        raise ConfigError("t_eval and origin must be finite")
+    lag = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
+    return origin + t_eval, origin + lag
+
+
 def seen_angles(
     side: Side,
     t_eval: np.ndarray,
@@ -136,13 +153,9 @@ def seen_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (angle_a, angle_b) one side attributes to the apparatus at each origin + t_eval.
 
-    In local mode the partner angle is read at origin + (t_eval - news_delay),
-    so a delay shorter than t_eval sees a switch at the origin however sums round.
+    The angles are read at ``read_times``.
     """
-    if not (np.isfinite(t_eval).all() and np.isfinite(origin).all()):
-        raise ConfigError("t_eval and origin must be finite")
-    lag = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
-    t_own, t_partner = origin + t_eval, origin + lag
+    t_own, t_partner = read_times(t_eval, timelines, mode, origin)
     if side is Side.L:
         return timelines.side_a.angles_at(t_own), timelines.side_b.angles_at(t_partner)
     return timelines.side_a.angles_at(t_partner), timelines.side_b.angles_at(t_own)

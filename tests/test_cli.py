@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 
 import numpy as np
@@ -368,6 +369,23 @@ def test_failed_output_leaves_no_partial_run(tmp_path, argv, blocked):
     assert os.listdir(tmp_path) == [blocked]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-epr", "--pairs", "8"],
+    ["table1", "--pairs", "40"],
+    ["dump-trajectories", "--pairs", "1"],
+    ["hooke-demo", "--periods", "1"],
+])
+def test_every_manifest_names_its_environment(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "platform", "cpu_count"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["platform"].startswith(f"{platform.system()}-{platform.release()}-")
+
+
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     ini = tmp_path / "latin1.ini"
     ini.write_bytes("[experiment]\n# caf\u00e9\nn_pairs = 8\n".encode("latin-1"))
@@ -477,6 +495,12 @@ def test_hooke_demo_all_couplings(tmp_path, capsys):
     first = (out / "hooke_instantaneous.csv").read_text().splitlines()
     assert first[0] == "t,x1,x2"
     assert "energy drift" in capsys.readouterr().out
+    # two periods at 2000 steps each, the retarded coupling at tau/8
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"steps": {
+        "instantaneous": 4000, "retarded": round(4.0 * math.pi / 3.0 / 0.00625),
+        "expanded": 4000, "cm": 4000}}
+    assert len(first) == 1 + 4001
 
 
 def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):

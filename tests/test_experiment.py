@@ -370,10 +370,10 @@ def test_explicit_switch_lists():
     cfg = ExperimentConfig(
         n_pairs=4, master_seed=12,
         switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
-        explicit_a=((-1.0, 0.3), (5.5e-3, 0.9)),
+        explicit_a=((-1.0, 0.3), (8.0e-3, 0.9)),
         switch_policy_b=SwitchPolicy.STATIC)
     prepared = prepare_pairs(cfg)
-    # pair 0 enters at 3.5 ms, before the 5.5 ms switch
+    # pair 0 is in the magnets from 3.5 to 6.5 ms, before the 8 ms switch
     assert prepared.setting_a[0] == 0.3
     assert not prepared.switched_a[0]
     # pair 1 launches at 10 ms, well after the switch: sees 0.9, unswitched
@@ -386,11 +386,36 @@ def test_explicit_switch_lists():
     assert report.bell is None
 
 
+@pytest.mark.parametrize("mode, switch_at, message", [
+    # pair 0 is in the magnets from 3.5 to 6.5 ms
+    (InformationMode.NONLOCAL, 5.5e-3, r"pair 0: analyzer A switches inside its magnet "
+                                       r"transit \(0\.0035, 0\.0065\d*\) s"),
+    # news of a 12 ms switch takes 12.5 ms and reaches B at 24.5 ms, inside
+    # pair 2's transit from 23.5 to 26.5 ms; pair 1 launched before the switch
+    (InformationMode.LOCAL, 12.0e-3, r"pair 2: news of analyzer A's switch reaches side B "
+                                     r"inside its magnet transit \(0\.0235, 0\.0265\d*\) s"),
+])
+def test_switch_inside_a_transit_is_refused(mode, switch_at, message):
+    cfg = ExperimentConfig(
+        n_pairs=4, master_seed=12, mode=mode,
+        switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+        explicit_a=((-1.0, 0.0), (switch_at, math.pi / 2.0)),
+        switch_policy_b=SwitchPolicy.STATIC)
+    with pytest.raises(ConfigError, match=message):
+        prepare_pairs(cfg)
+    with pytest.raises(ConfigError, match=message):
+        run_epr(cfg)
+    # a switch at pair 0's entry instant is read there, so it is accepted
+    entry = replace(cfg, mode=InformationMode.NONLOCAL,
+                    explicit_a=((-1.0, 0.0), (3.5e-3, math.pi / 2.0)))
+    assert prepare_pairs(entry).setting_a[0] == math.pi / 2.0
+
+
 @pytest.mark.parametrize("explicit", [False, True])
 def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explicit):
     lists = dict(
         switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
-        explicit_a=((-math.inf, 0.0), (0.021, math.pi / 2.0), (0.047, 0.0)),
+        explicit_a=((-math.inf, 0.0), (0.0205, math.pi / 2.0), (0.047, 0.0)),
     ) if explicit else {}
     cfg = ExperimentConfig(n_pairs=300, master_seed=58, mode=InformationMode.LOCAL,
                            efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
@@ -539,9 +564,13 @@ def small_configs(draw):
         policy = draw(st.sampled_from(SwitchPolicy))
         fields[f"switch_policy_{side}"] = policy
         if policy is SwitchPolicy.EXPLICIT_LIST:
-            # menu angles plus one off-menu angle, switching inside the run
+            # menu angles plus one off-menu angle, switching inside the run;
+            # a switch after launch k lands 7 to 10.5 ms later, clear of every
+            # transit (3.5-6.5 ms after a launch) and of the news window of
+            # each (the transit 12.5 ms earlier), which prepare_pairs refuses
             pool = (*menu, 0.3)
-            times = sorted(set(draw(st.lists(st.floats(0.0, n * 1.0e-2), max_size=4))))
+            times = sorted({k * 1.0e-2 + phase for k, phase in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.floats(7.0e-3, 10.5e-3)), max_size=4))})
             entries = [(-math.inf, draw(st.sampled_from(pool)))]
             for t in times:
                 entries.append((t, draw(st.sampled_from(

@@ -1,5 +1,6 @@
 """Coupled spring sandbox: closed-form checks and delay expansions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from bohm_epr import (
     simulate_spring,
     spring_energy,
 )
+from bohm_epr import hooke
+from bohm_epr.cli import main
 from bohm_epr.hooke import write_spring_csv
+from bohm_epr.integrate import rk4_step
 
 PERIOD = 2.0 * math.pi / 3.0
 
@@ -156,3 +160,42 @@ def test_spring_csv_format(tmp_path):
     assert float(t0) == 0.0
     assert float(x10) == -1.0
     assert float(x20) == 1.0
+
+
+# largest deviation of the step-map rows from per-step RK4, relative to max(1, |x|)
+STEP_MAP_RTOL = 1.0e-9
+
+
+def per_step_rows(p, mode, duration, dt):
+    """The reference: one rk4_step per row over the module's right-hand side."""
+    rows = np.empty((hooke.spring_grid(p, mode, duration, dt).n_steps + 1, 4))
+    rows[0] = (p.x1_0, p.v1_0, p.x2_0, p.v2_0)
+    rhs = hooke._rhs(p, mode, rows, dt)
+    y = rows[0].tolist()
+    for i in range(rows.shape[0] - 1):
+        y = rk4_step(rhs, i, dt, y)
+        rows[i + 1] = y
+    return rows
+
+
+@pytest.mark.parametrize("velocities", [(0.0, 0.0), (0.5, -0.2)])
+@pytest.mark.parametrize("mode", [SpringMode.INSTANTANEOUS, SpringMode.EXPANDED,
+                                  SpringMode.CENTER_OF_MASS, SpringMode.RETARDED])
+def test_step_map_matches_per_step_rk4(mode, velocities):
+    # the retarded coupling takes the step map only without a delay
+    delay = 0.0 if mode is SpringMode.RETARDED else PERIOD / 50.0
+    p = HookeParams(delay=delay, v1_0=velocities[0], v2_0=velocities[1])
+    duration, dt = default_grid(periods=5.0)
+    traj = simulate_spring(p, mode, duration, dt)
+    ref = per_step_rows(p, mode, duration, dt)
+    got = np.stack((traj.x1, traj.v1, traj.x2, traj.v2), axis=1)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < STEP_MAP_RTOL
+
+
+def test_retarded_csv_is_pinned(tmp_path):
+    # the delayed coupling still steps row by row; its output must not move
+    assert main(["hooke-demo", "--coupling", "retarded", "--tau", "0.05", "--periods", "2",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "hooke_retarded.csv").read_bytes()).hexdigest()
+    assert digest == "16e2f90f14a1817379afa9e79177f45cc083f72c01b270817d1a4f309a59f62b"
