@@ -21,7 +21,8 @@ of RawPhysicalInputs under [physics], dt and workers under
 seed. Every flag overrides its file counterpart, and the master seed
 resolves flag, then BOHM_EPR_SEED, then file, then the built-in default.
 Exit codes: 0 on success, 2 for configuration problems and bad paths, 3
-for numerical or estimation failures.
+for numerical or estimation failures, and 1 when stdout is a pipe whose
+reader has gone.
 """
 
 from __future__ import annotations
@@ -634,7 +635,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone shows up here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`| head`): end quietly, as Python's docs
+        # advise, with stdout on devnull so the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ from .infomodel import (
     seen_angles,
     static_timeline,
 )
-from .integrate import IntegrationConfig, integrate_retiring, sample_initial, sign_outcome
+from .integrate import IntegrationConfig, integrate_retiring, sign_outcome
 from .physconst import (
     LIGHT_SPEED,
     DerivedCoefficients,
@@ -70,6 +70,19 @@ _BATCH_CHUNK = 4096
 _PAIR_STREAM = 0
 _INIT_STREAM = 1
 DEFAULT_SEED = 12345
+# A local-mode run peaks at about 0.35 kB per pair (measured at 200 000
+# pairs), so 10**7 pairs is about 3.5 GB. The seeding also needs every
+# pair id to be one 32-bit SeedSequence word, which caps it at 2**32.
+_MAX_PAIRS = 10**7
+
+# NumPy's SeedSequence (NEP 19) at its default pool of four 32-bit words,
+# and the multiplier of PCG64's 128-bit LCG (O'Neill 2014)
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 class Efficiency(enum.Enum):
@@ -190,6 +203,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n_pairs, int) or self.n_pairs < 4:
             raise ConfigError("n_pairs must be an integer >= 4")
+        if self.n_pairs > _MAX_PAIRS:
+            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {self.n_pairs}")
         for name in ("angles_a", "angles_b"):
             menu = getattr(self, name)
             if len(menu) != 2 or not all(math.isfinite(a) for a in menu):
@@ -410,10 +425,104 @@ def pair_stream(master_seed: int, pair_id: int) -> np.random.Generator:
     Draw order inside the stream is fixed: analyzer A's menu index,
     analyzer B's menu index, left initial position, right initial
     position. Streams are independent across pairs and reproducible from
-    (master_seed, pair_id) alone.
+    (master_seed, pair_id) alone. A run draws from them through
+    ``pair_draws``, which seeds every pair's stream in one pass.
     """
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((master_seed, _PAIR_STREAM, pair_id))))
+
+
+def _hash_step(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One use of SeedSequence's running hash constant: the hashed words and the next constant."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for many entropies e at once.
+
+    ``entropy`` holds the uint32 columns of the entropy words, at most
+    four. Array j of the result holds word j of every state. This is
+    NumPy's ``mix_entropy`` and ``generate_state`` in wrapping uint32
+    arithmetic.
+    """
+    hash_const = _SS_INIT_A
+    pool = []
+    for j in range(_SS_POOL):
+        word, hash_const = _hash_step(
+            entropy[j] if j < len(entropy) else np.zeros_like(entropy[0]), hash_const, _SS_MULT_A)
+        pool.append(word)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                hashed, hash_const = _hash_step(pool[src], hash_const, _SS_MULT_A)
+                mixed = pool[dst] * np.uint32(_SS_MIX_L) - hashed * np.uint32(_SS_MIX_R)
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hash_const = _SS_INIT_B
+    words = []
+    for k in range(8):
+        word, hash_const = _hash_step(pool[k % _SS_POOL], hash_const, _SS_MULT_B)
+        words.append(word.astype(np.uint64))
+    # each 64-bit word is two 32-bit words, low word first
+    return [words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)]
+
+
+def pair_draws(master_seed: int, n: int,
+               packet_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of pairs 0..n-1 from their streams: (a_rand, b_rand, z_l0, z_r0).
+
+    Row i equals, bit for bit, two ``integers(0, 2)`` and then
+    ``sample_initial(rng, packet_width)`` from ``rng = pair_stream(master_seed, i)``.
+    Only the seeding differs. It is vectorised over the pair ids:
+    ``_seed_states`` gives every stream's SeedSequence state, and PCG64's
+    ``srandom_r`` and first step then run in Python ints. A menu index is
+    one bit of the stream's first 64-bit output. ``integers(0, 2)`` is
+    Lemire's method on one 32-bit draw, and for a range of two it never
+    rejects and returns the draw's top bit. PCG64 serves an output's low
+    half before its high half, so a_rand is bit 31 and b_rand bit 63. The
+    normals come from NumPy's own sampler, on one generator set to each
+    stream's state after that first output. Pairs go in blocks of
+    ``_BATCH_CHUNK``, which bound the working memory.
+    """
+    check_seed(master_seed)
+    if not 0 <= n <= _MAX_PAIRS:
+        raise ValueError(f"n must lie in [0, {_MAX_PAIRS}], got {n}")
+    # the entropy words of (master_seed, _PAIR_STREAM, i): the seed's
+    # 32-bit words low first, then the role, then the pair id
+    head = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    head.append(_PAIR_STREAM)
+    bit_gen = np.random.PCG64(0)
+    normal = np.random.Generator(bit_gen).normal
+    stream = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    first = np.empty(n, dtype=np.uint64)
+    z = np.empty((n, 2))
+    for lo in range(0, n, _BATCH_CHUNK):
+        ids = np.arange(lo, min(lo + _BATCH_CHUNK, n), dtype=np.uint32)
+        seeds = _seed_states([np.full_like(ids, word) for word in head] + [ids])
+        outputs = []
+        # column lists, not one list per pair, keep the block's Python objects few
+        for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*(w.tolist() for w in seeds)), lo):
+            # PCG64 reads words 0-1 as the initial state and words 2-3 as
+            # the stream selector, each high word first
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            # srandom_r steps from 0 (giving inc), adds the initial state and
+            # steps again; the first output steps once more
+            x = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
+            # XSL-RR output of the new state
+            word = (x >> 64 ^ x) & _MASK64
+            rot = x >> 122
+            outputs.append((word >> rot | word << (64 - rot)) & _MASK64)
+            stream["state"], stream["inc"] = x, inc
+            bit_gen.state = state
+            z[i] = normal(0.0, packet_width, 2)
+        first[lo:lo + len(ids)] = outputs
+    a_rand = (first >> np.uint64(31) & np.uint64(1)).astype(np.int64)
+    b_rand = (first >> np.uint64(63)).astype(np.int64)
+    z_l0, z_r0 = z.T.copy()
+    return a_rand, b_rand, z_l0, z_r0
 
 
 def init_stream(master_seed: int) -> np.random.Generator:
@@ -564,16 +673,7 @@ def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
     j + 1.
     """
     n = cfg.n_pairs if limit is None else max(0, min(limit, cfg.n_pairs))
-    a_rand = np.empty(n, dtype=np.int64)
-    b_rand = np.empty(n, dtype=np.int64)
-    z_l0 = np.empty(n)
-    z_r0 = np.empty(n)
-    for i in range(n):
-        rng = pair_stream(cfg.master_seed, i)
-        a_rand[i] = int(rng.integers(0, 2))
-        b_rand[i] = int(rng.integers(0, 2))
-        z_l0[i], z_r0[i] = sample_initial(rng, cfg.physics.packet_width)
-
+    a_rand, b_rand, z_l0, z_r0 = pair_draws(cfg.master_seed, n, cfg.physics.packet_width)
     timelines = setting_timelines(cfg, n, (a_rand, b_rand))
     launches = _launches(cfg, n)
     _check_frozen_settings(cfg, timelines, launches)

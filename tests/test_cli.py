@@ -1,5 +1,6 @@
 """Config file handling, flag precedence, artifacts, and exit codes."""
 
+import errno
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import pathlib
 import platform
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,17 +290,17 @@ def test_run_epr_rates_run_one_experiment(tmp_path, monkeypatch):
     # the quiescent baseline is counted, not run: --rates draws no pair
     # stream and transports no system beyond the switched run's own
     calls = {"streams": [], "transports": 0}
-    real_stream, real_transport = experiment_mod.pair_stream, experiment_mod.integrate_retiring
+    real_draws, real_transport = experiment_mod.pair_draws, experiment_mod.integrate_retiring
 
-    def counted_stream(master_seed, pair_id):
-        calls["streams"].append(pair_id)
-        return real_stream(master_seed, pair_id)
+    def counted_draws(master_seed, n, packet_width):
+        calls["streams"].extend(range(n))
+        return real_draws(master_seed, n, packet_width)
 
     def counted_transport(*args, **kwargs):
         calls["transports"] += 1
         return real_transport(*args, **kwargs)
 
-    monkeypatch.setattr(experiment_mod, "pair_stream", counted_stream)
+    monkeypatch.setattr(experiment_mod, "pair_draws", counted_draws)
     monkeypatch.setattr(experiment_mod, "integrate_retiring", counted_transport)
     seen = {}
     for flags in ((), ("--rates",)):
@@ -321,6 +323,39 @@ def test_run_epr_exit_codes(tmp_path):
     bad.write_text("[physics]\npacket_width = 1e-150\n")
     assert main(["run-epr", "--config", str(bad), "--pairs", "8",
                  "--out", str(tmp_path)]) == 3
+
+
+def test_pair_count_above_the_ceiling_is_a_config_error(tmp_path, capsys):
+    # refused before any array is allocated, on every command that runs pairs
+    for argv in (["run-epr", "--pairs", "1000000000000"],
+                 ["table1", "--pairs", "1000000000000"],
+                 ["dump-trajectories", "--pairs", "1000000000000"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "n_pairs must be at most 10000000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone, backed by a real descriptor."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh, mock.patch("sys.stdout", ClosedPipe(fh.fileno())):
+        assert main(["kick-ratio"]) == 1
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):

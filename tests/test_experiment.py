@@ -37,9 +37,11 @@ from bohm_epr.experiment import (
     EVENT_HEADER,
     PairTable,
     init_stream,
+    pair_draws,
     pair_stream,
     prepare_pairs,
 )
+from bohm_epr.integrate import sample_initial
 from bohm_epr.physconst import LIGHT_SPEED
 
 KICK_1E4 = 3.335555925431646e-07
@@ -118,6 +120,11 @@ def test_experiment_config_validation():
         ExperimentConfig(n_pairs=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_pairs=3)
+    with pytest.raises(ConfigError, match="at most 10000000"):
+        ExperimentConfig(n_pairs=10**7 + 1)
+    with pytest.raises(ConfigError, match="at most 10000000"):
+        ExperimentConfig(n_pairs=10**12)
+    assert ExperimentConfig(n_pairs=10**7).n_pairs == 10**7
     with pytest.raises(ConfigError):
         ExperimentConfig(angles_a=(0.5, 0.5))
     with pytest.raises(ConfigError):
@@ -160,6 +167,45 @@ def test_pair_streams_are_reproducible_and_distinct():
     i1 = init_stream(7).integers(0, 2**32, size=2)
     i2 = init_stream(7).integers(0, 2**32, size=2)
     assert np.array_equal(i1, i2)
+
+
+def _stream_draws(master_seed, n, packet_width):
+    """What ``pair_draws`` must return, drawn pair by pair from ``pair_stream``."""
+    columns = ([], [], [], [])
+    for i in range(n):
+        rng = pair_stream(master_seed, i)
+        row = (int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+               *sample_initial(rng, packet_width))
+        for column, value in zip(columns, row):
+            column.append(value)
+    return (np.array(columns[0], dtype=np.int64), np.array(columns[1], dtype=np.int64),
+            np.array(columns[2]), np.array(columns[3]))
+
+
+# one- and two-word seeds, at the edges of each
+@pytest.mark.parametrize("master_seed", [0, 1, 101, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_pair_draws_match_pair_streams(master_seed):
+    # 5000 pairs cross a block boundary of the seeding
+    n = 5000
+    widths = (1.0e-3, 0.37) if master_seed in (101, 2**64 - 1) else (1.0e-3,)
+    for width in widths:
+        got = pair_draws(master_seed, n, width)
+        want = _stream_draws(master_seed, n, width)
+        for name, g, w in zip(("a_rand", "b_rand", "z_l0", "z_r0"), got, want):
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
+        assert got[0].any() and not got[0].all() and got[1].any() and not got[1].all()
+        # a shorter run draws the first rows of a longer one
+        for k in (0, 1, 4097):
+            prefix = pair_draws(master_seed, k, width)
+            assert all(np.array_equal(p, g[:k]) for p, g in zip(prefix, got))
+
+
+def test_pair_draws_refuses_what_the_seeding_cannot_encode():
+    with pytest.raises(ConfigError):
+        pair_draws(2**64, 4, 1.0e-3)
+    with pytest.raises(ValueError):
+        pair_draws(1, experiment_mod._MAX_PAIRS + 1, 1.0e-3)
 
 
 def _split_views(table):
@@ -421,17 +467,17 @@ def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explic
                            efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
                            **lists)
     full = prepare_pairs(cfg)
-    calls = []
-    real = experiment_mod.pair_stream
+    drawn = []
+    real = experiment_mod.pair_draws
 
-    def counting(master_seed, pair_id):
-        calls.append(pair_id)
-        return real(master_seed, pair_id)
+    def counting(master_seed, n, packet_width):
+        drawn.extend(range(n))
+        return real(master_seed, n, packet_width)
 
-    monkeypatch.setattr(experiment_mod, "pair_stream", counting)
+    monkeypatch.setattr(experiment_mod, "pair_draws", counting)
     k = 7
     limited = prepare_pairs(cfg, limit=k)
-    assert len(calls) == k
+    assert drawn == list(range(k))
     assert limited == PairTable(**{name: column[:k] for name, column in vars(full).items()
                                    if column is not None})
     # local mode reads news of earlier launches, and pairs get lost
