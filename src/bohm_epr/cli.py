@@ -79,6 +79,8 @@ from .integrate import integrate_batch
 from .physconst import RawPhysicalInputs, derive_coefficients
 
 ENV_SEED = "BOHM_EPR_SEED"
+# rows of trajectories.csv (pair x view x recorded step), held until written
+_MAX_DUMP_ROWS = 10**7
 
 # The INI format is the field order of ExperimentConfig, with the fields of
 # its nested RawPhysicalInputs under [physics]; only these facts are written
@@ -539,10 +541,13 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     cfg, provenance = build_config(_load_file_values(args.config), overrides)
     if args.record_every < 1:
         raise ConfigError("--record-every must be at least 1")
-    out_dir = _ensure_out(args.out)
-
-    coeff = derive_coefficients(cfg.physics)
     icfg = cfg.transport_grid(args.record_every)
+    rows = 2 * n_dump * (len(range(0, icfg.n_steps, args.record_every)) + 1)
+    if rows > _MAX_DUMP_ROWS:
+        raise ConfigError(f"the dump would hold {rows} rows, more than {_MAX_DUMP_ROWS}; "
+                          "dump fewer pairs or raise --record-every")
+    out_dir = _ensure_out(args.out)
+    coeff = derive_coefficients(cfg.physics)
     table = prepare_pairs(cfg, limit=n_dump)
     systems, a_sys, b_sys = view_systems(table)
     z_l, z_r = integrate_views(integrate_batch, systems, a_sys, b_sys, cfg.mode, coeff, icfg)

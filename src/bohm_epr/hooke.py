@@ -126,17 +126,21 @@ def _rhs(params: HookeParams, mode: SpringMode, rows: np.ndarray, dt: float):
     tau = params.delay
 
     if mode is SpringMode.RETARDED and tau > 0.0:
+        # Indexing a memoryview of the rows gives Python floats, at less
+        # than half the cost of numpy scalars and with no copy of the rows.
+        cells = memoryview(rows)
+
         def delayed(col: int, t_query: float) -> float:
             # Constant prehistory: before launch each mass sat at its start.
             # dt <= tau/4 puts every query before the step being taken.
             if t_query <= 0.0:
-                return float(rows[0, col])
+                return cells[0, col]
             pos = t_query / dt
             j = int(pos)
             frac = pos - j
             if frac == 0.0:
-                return float(rows[j, col])
-            return float(rows[j, col] * (1.0 - frac) + rows[j + 1, col] * frac)
+                return cells[j, col]
+            return cells[j, col] * (1.0 - frac) + cells[j + 1, col] * frac
 
         def rhs(ts: float, state: list[float]):
             s_x1, s_v1, s_x2, s_v2 = state
@@ -208,12 +212,8 @@ def _fill_by_step_map(rows: np.ndarray, t_map: np.ndarray) -> None:
         z = block[-1]
 
 
-def simulate_spring(
-    params: HookeParams,
-    mode: SpringMode,
-    duration: float,
-    dt: float,
-) -> SpringTrajectory:
+def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
+                    dt: float) -> SpringTrajectory:
     """Integrate the pair under the chosen coupling with fixed-step RK4.
 
     Row i holds (x1, v1, x2, v2) at step i. A coupling that reads no

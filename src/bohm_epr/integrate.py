@@ -36,12 +36,12 @@ import numpy as np
 from .errors import ConfigError, IntegrationDiverged
 from .physconst import DerivedCoefficients
 from .velocity import (
+    BatchWeights,
     SettingPair,
     TrajectoryState,
     check_weights,
-    ratio_pair_at,
-    velocity_from_ratios,
-    velocity_pair_batch,
+    guidance_ratios,
+    guidance_velocity,
 )
 
 _MIN_STEPS = 10
@@ -130,13 +130,9 @@ def sample_initial(rng: np.random.Generator, packet_width: float) -> tuple[float
     return float(draws[0]), float(draws[1])
 
 
-def integrate_pair(
-    init: tuple[float, float],
-    settings_l: SettingPair,
-    settings_r: SettingPair,
-    coeff: DerivedCoefficients,
-    cfg: IntegrationConfig,
-) -> tuple[PairTrajectory, PairTrajectory]:
+def integrate_pair(init: tuple[float, float], settings_l: SettingPair, settings_r: SettingPair,
+                   coeff: DerivedCoefficients,
+                   cfg: IntegrationConfig) -> tuple[PairTrajectory, PairTrajectory]:
     """Transport one pair under each observer's attributed settings.
 
     ``settings_l`` is the setting pair the left observer believes is in
@@ -168,12 +164,13 @@ def integrate_pair(
     return trajectories[0], trajectories[-1]
 
 
-def _batch_arrays(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, ...]:
+def _batch(z_l0, z_r0, s2, c2) -> tuple[np.ndarray, BatchWeights]:
+    """The positions [z_l; z_r] of a batch as one (2, n) array, and its checked weights."""
     arrays = tuple(np.asarray(a, dtype=float) for a in (z_l0, z_r0, s2, c2))
     if not (arrays[0].shape == arrays[1].shape == arrays[2].shape == arrays[3].shape):
         raise ConfigError("batch arrays must share one shape")
     check_weights(arrays[2], arrays[3])
-    return arrays
+    return np.stack(arrays[:2]), BatchWeights(arrays[2], arrays[3])
 
 
 def rk4_step(rhs, i: int, dt: float, y, k1=None) -> list:
@@ -197,29 +194,23 @@ def rk4_step(rhs, i: int, dt: float, y, k1=None) -> list:
             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-def _guidance(s2: np.ndarray, c2: np.ndarray, coeff: DerivedCoefficients):
-    """The guidance law as an ``rk4_step`` right-hand side on (z_l, z_r)."""
-    return lambda t, y: velocity_pair_batch(t, y[0], y[1], s2, c2, coeff)
+def _guidance(weights: BatchWeights, coeff: DerivedCoefficients):
+    """The guidance law as an ``rk4_step`` right-hand side on the one component z."""
+    return lambda t, y: [guidance_velocity(t, y[0], weights, coeff)]
 
 
-def _check_finite(step: int, z_l: np.ndarray, z_r: np.ndarray,
-                  index: np.ndarray | None = None) -> None:
-    """Raise IntegrationDiverged naming the first non-finite system."""
-    bad = ~(np.isfinite(z_l) & np.isfinite(z_r))
-    if bad.any():
-        first = int(np.argmax(bad))
+def _check_finite(step: int, z: np.ndarray, index: np.ndarray | None = None) -> None:
+    """Raise IntegrationDiverged naming the first system with a non-finite position."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        first = int(np.argmin(finite.all(axis=0)))
         raise IntegrationDiverged(
             step=step, system_index=first if index is None else int(index[first]))
 
 
-def integrate_batch(
-    z_l0: np.ndarray,
-    z_r0: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-    cfg: IntegrationConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+def integrate_batch(z_l0: np.ndarray, z_r0: np.ndarray, s2: np.ndarray, c2: np.ndarray,
+                    coeff: DerivedCoefficients,
+                    cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Transport many independent systems at once; returns exit positions.
 
     All four arrays must share one length. Each element is an independent
@@ -228,20 +219,18 @@ def integrate_batch(
     row k holds the positions at step ``cfg.recorded_steps()[k]``, so
     the last row is the exit.
     """
-    z_l, z_r, s2, c2 = _batch_arrays(z_l0, z_r0, s2, c2)
-    rhs = _guidance(s2, c2, coeff)
-    n_steps = cfg.n_steps
-    every = cfg.record_every
-    y = (z_l, z_r)
-    track = [y]
+    z, weights = _batch(z_l0, z_r0, s2, c2)
+    rhs = _guidance(weights, coeff)
+    n_steps, every = cfg.n_steps, cfg.record_every
+    track = [z]
     for i in range(n_steps):
-        y = rk4_step(rhs, i, cfg.dt, y)
-        _check_finite(i + 1, *y)
+        (z,) = rk4_step(rhs, i, cfg.dt, [z])
+        _check_finite(i + 1, z)
         if every and ((i + 1) % every == 0 or i + 1 == n_steps):
-            track.append(y)
-    if not every:
-        return y[0], y[1]
-    return np.array([z[0] for z in track]), np.array([z[1] for z in track])
+            track.append(z)
+    if every:
+        z = np.stack(track, axis=1)
+    return z[0], z[1]
 
 
 def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,
@@ -253,38 +242,23 @@ def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,
     return lift * (t_end * t_end) + b * math.hypot(1.0, k * t_end)
 
 
-def _retirements(
-    t: float,
-    t_end: float,
-    z_l: np.ndarray,
-    z_r: np.ndarray,
-    r_l: np.ndarray,
-    r_r: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which systems retire at t, given their ratios r_l, r_r there, and
-    the closed-form exits of those that do."""
-    cand = np.flatnonzero((np.abs(r_l) == 1.0) & (np.abs(r_r) == 1.0))
+def _retirements(t: float, t_end: float, z: np.ndarray, r: np.ndarray, weights: BatchWeights,
+                 coeff: DerivedCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Which systems retire at t, given their ratios r there, and the
+    closed-form exits of those that do."""
+    saturated = np.abs(r) == 1.0
+    cand = np.flatnonzero(saturated[0] & saturated[1])
     if cand.size == 0:
-        return cand, z_l[cand], z_r[cand]
-    r_l, r_r = r_l[cand], r_r[cand]
-    end_l = _branch_tail(t, t_end, z_l[cand], r_l, coeff)
-    end_r = _branch_tail(t, t_end, z_r[cand], r_r, coeff)
-    e_l, e_r = ratio_pair_at(t_end, end_l, end_r, s2[cand], c2[cand], coeff)
-    held = (e_l == r_l) & (e_r == r_r)
-    return cand[held], end_l[held], end_r[held]
+        return cand, z[:, cand]
+    r = r[:, cand]
+    end = _branch_tail(t, t_end, z[:, cand], r, coeff)
+    held = (guidance_ratios(t_end, end, weights.take(cand), coeff) == r).all(axis=0)
+    return cand[held], end[:, held]
 
 
-def integrate_retiring(
-    z_l0: np.ndarray,
-    z_r0: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-    cfg: IntegrationConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+def integrate_retiring(z_l0: np.ndarray, z_r0: np.ndarray, s2: np.ndarray, c2: np.ndarray,
+                       coeff: DerivedCoefficients,
+                       cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exit positions whose signs are the outcomes of ``integrate_batch``.
 
     Takes the same arguments. Systems are stepped with the same RK4
@@ -322,29 +296,25 @@ def integrate_retiring(
     ``IntegrationDiverged.system_index`` is the system's index in the
     input arrays.
     """
-    z_l, z_r, s2, c2 = _batch_arrays(z_l0, z_r0, s2, c2)
-    exit_l = np.empty_like(z_l)
-    exit_r = np.empty_like(z_r)
-    active = np.arange(z_l.size)
-    dt = cfg.dt
-    n_steps = cfg.n_steps
+    z, weights = _batch(z_l0, z_r0, s2, c2)
+    exit_z = np.empty_like(z)
+    active = np.arange(z.shape[1])
+    dt, n_steps = cfg.dt, cfg.n_steps
     t_end = n_steps * dt
     for i in range(n_steps):
         t = i * dt
-        r_l, r_r = ratio_pair_at(t, z_l, z_r, s2, c2, coeff)
-        done, end_l, end_r = _retirements(t, t_end, z_l, z_r, r_l, r_r, s2, c2, coeff)
+        r = guidance_ratios(t, z, weights, coeff)
+        done, end = _retirements(t, t_end, z, r, weights, coeff)
         if done.size:
-            exit_l[active[done]] = end_l
-            exit_r[active[done]] = end_r
+            exit_z[:, active[done]] = end
             keep = np.ones(active.size, dtype=bool)
             keep[done] = False
-            z_l, z_r, r_l, r_r, s2, c2, active = (
-                a[keep] for a in (z_l, z_r, r_l, r_r, s2, c2, active))
+            z, r, active = z[:, keep], r[:, keep], active[keep]
+            weights = weights.take(keep)
         if active.size == 0:
             break
-        k1 = velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)
-        z_l, z_r = rk4_step(_guidance(s2, c2, coeff), i, dt, (z_l, z_r), k1)
-        _check_finite(i + 1, z_l, z_r, active)
-    exit_l[active] = z_l
-    exit_r[active] = z_r
-    return exit_l, exit_r
+        k1 = [guidance_velocity(t, z, weights, coeff, r)]
+        (z,) = rk4_step(_guidance(weights, coeff), i, dt, [z], k1)
+        _check_finite(i + 1, z, active)
+    exit_z[:, active] = z
+    return exit_z[0], exit_z[1]

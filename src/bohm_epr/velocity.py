@@ -27,12 +27,15 @@ the ratios need a guarded evaluation. Below ``_DIRECT_LIMIT`` the direct
 formula is used (it is exquisitely accurate for small arguments, which
 the aligned-analyzer reduction tests rely on); above it the numerator and
 denominator are factored by the dominant exponential among the terms with
-non-zero weight, which keeps every intermediate bounded. The result is
-clamped to [-1, 1], the mathematical range of both ratios. The array
-kernel ``ratio_pair_batch`` is the only evaluation of the ratios (the
-scalar entry points are one-element calls of it); each element
-evaluates only its own branch, so a batch pays for the factored branch
-only on the elements past the limit.
+non-zero weight, which keeps every intermediate bounded. Both ratios
+lie in [-1, 1]; the direct branch is clamped to that range.
+
+``guidance_velocity`` is the only evaluation of the law; the other entry
+points are thin wrappers of it. It takes n systems as one (2, n) array
+z = [z_l; z_r], so each step of the formula is one numpy call: [u; v] is
+one array, the direct branch one sinh and one cosh of it, the factored
+branch one exp of [u; v; -u; -v] - m. Each element evaluates only its
+own branch.
 
 For exactly aligned analyzers (s2 == 0) the law collapses to
 
@@ -56,6 +59,7 @@ from .errors import ConfigError
 from .physconst import DerivedCoefficients, check_finite_fields
 
 _DIRECT_LIMIT = 300.0
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 class Side(enum.Enum):
@@ -136,25 +140,17 @@ def stable_ratio(u: float, v: float, s2: float, c2: float, side: Side) -> float:
     return float(rl[0] if side is Side.L else rr[0])
 
 
-def velocity_pair(
-    state: TrajectoryState,
-    settings: SettingPair,
-    coeff: DerivedCoefficients,
-) -> tuple[float, float]:
-    """Transverse velocities (v_l, v_r) of both particles.
-
-    A one-element call of ``velocity_pair_batch``.
-    """
+def velocity_pair(state: TrajectoryState, settings: SettingPair,
+                  coeff: DerivedCoefficients) -> tuple[float, float]:
+    """Transverse velocities (v_l, v_r) of both particles; a one-element ``velocity_pair_batch``."""
     s2, c2 = settings.weights()
     v_l, v_r = velocity_pair_batch(state.t, np.array([state.z_l]), np.array([state.z_r]),
                                    np.array([s2]), np.array([c2]), coeff)
     return float(v_l[0]), float(v_r[0])
 
 
-def aligned_velocity_pair(
-    state: TrajectoryState,
-    coeff: DerivedCoefficients,
-) -> tuple[float, float]:
+def aligned_velocity_pair(state: TrajectoryState,
+                          coeff: DerivedCoefficients) -> tuple[float, float]:
     """Velocities for exactly aligned analyzers, via the tanh reduction."""
     t = state.t
     kt = coeff.spread_rate * t
@@ -168,100 +164,129 @@ def aligned_velocity_pair(
     return drift * state.z_l + spin_kick * tanh_v, drift * state.z_r - spin_kick * tanh_v
 
 
-def _direct_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
-    """The plain sinh/cosh formula; only for max(|u|, |v|) <= _DIRECT_LIMIT."""
-    su = s2 * np.sinh(u)
-    cv = c2 * np.sinh(v)
-    den = s2 * np.cosh(u) + c2 * np.cosh(v)
-    return (su + cv) / den, (su - cv) / den
+class BatchWeights:
+    """The weights of a batch, laid out once: ``rows`` is [[s2; c2]; [s2; c2]].
 
-
-def _factored_ratios(u, v, s2, c2) -> tuple[np.ndarray, np.ndarray]:
-    """The ratios with the dominant weighted exponential factored out."""
-    # A zero-weight term must not dictate the scale, or the
-    # 0 * exp(large) products would go indeterminate.
-    m = np.maximum(np.where(s2 > 0.0, np.abs(u), -np.inf),
-                   np.where(c2 > 0.0, np.abs(v), -np.inf))
-    eu = s2 * np.exp(np.minimum(u - m, 0.0))
-    enu = s2 * np.exp(np.minimum(-u - m, 0.0))
-    ev = c2 * np.exp(np.minimum(v - m, 0.0))
-    env = c2 * np.exp(np.minimum(-v - m, 0.0))
-    den = (eu + enu) + (ev + env)
-    return ((eu - enu) + (ev - env)) / den, ((eu - enu) - (ev - env)) / den
-
-
-def ratio_pair_batch(
-    u: np.ndarray,
-    v: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both coupling ratios of many elements, overflow-safe.
-
-    The only evaluation of the ratios in the package; ``stable_ratio``
-    is a one-element call. Weights are assumed validated. Each element
-    evaluates only its own branch: a batch that is all direct or all
-    factored runs one branch on the whole arrays, a mixed batch runs
-    each branch on its own subset. Element order in the input arrays
-    does not affect any element's value.
+    ``rows[0]`` weights the direct branch's sinh and cosh rows, all of it
+    the factored branch's [[e^u; e^v]; [e^-u; e^-v]]. ``positive`` masks
+    the non-zero weights, or is None if all are.
     """
-    small = np.maximum(np.abs(u), np.abs(v)) <= _DIRECT_LIMIT
-    if small.all():
-        rl, rr = _direct_ratios(u, v, s2, c2)
-    elif not small.any():
-        rl, rr = _factored_ratios(u, v, s2, c2)
-    else:
-        u, v, s2, c2 = np.broadcast_arrays(u, v, s2, c2)
-        rl = np.empty(small.shape)
-        rr = np.empty(small.shape)
-        large = ~small
-        rl[small], rr[small] = _direct_ratios(u[small], v[small], s2[small], c2[small])
-        rl[large], rr[large] = _factored_ratios(u[large], v[large], s2[large], c2[large])
-    return np.clip(rl, -1.0, 1.0), np.clip(rr, -1.0, 1.0)
+
+    def __init__(self, s2: np.ndarray, c2: np.ndarray):
+        w = np.stack((s2, c2))
+        self.rows = np.stack((w, w))
+        positive = w > 0.0
+        self.positive = None if positive.all() else positive
+
+    def take(self, index) -> BatchWeights:
+        """The weights of the systems ``index`` (a mask or indices) selects."""
+        return BatchWeights(self.rows[0, 0, index], self.rows[0, 1, index])
 
 
-def ratio_pair_at(
-    t: float,
-    z_l: np.ndarray,
-    z_r: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both guidance ratios of many independent systems at time t."""
-    w = exponent_scale(t, coeff)
-    return ratio_pair_batch(0.5 * w * (z_l + z_r), 0.5 * w * (z_l - z_r), s2, c2)
+def _sum_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a + b; a - b] as one (2, n) array; IEEE a - b is exactly a + (-b)."""
+    x = b * _PLUS_MINUS
+    x += a
+    return x
 
 
-def velocity_from_ratios(
-    t: float,
-    z_l: np.ndarray,
-    z_r: np.ndarray,
-    r_l: np.ndarray,
-    r_r: np.ndarray,
-    coeff: DerivedCoefficients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities of many systems at time t, given their guidance ratios."""
+def _direct(uv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The plain sinh/cosh formula; only for max(|u|, |v|) <= _DIRECT_LIMIT."""
+    s = np.sinh(uv)
+    s *= w
+    c = np.cosh(uv)
+    c *= w
+    r = _sum_diff(s[0], s[1])
+    r /= c[0] + c[1]
+    # sinh and cosh are each rounded on their own, so |sinh u| may pass cosh u
+    np.maximum(r, -1.0, out=r)
+    np.minimum(r, 1.0, out=r)
+    return r
+
+
+def _factored(uv: np.ndarray, m: np.ndarray, w: np.ndarray,
+              positive: np.ndarray | None) -> np.ndarray:
+    """The ratios with the dominant weighted exponential m factored out.
+
+    Needs no clamp: for a, b >= 0 rounding keeps |a - b| <= a + b, so no
+    numerator passes the denominator in floating point either.
+    """
+    if positive is not None:
+        # A zero-weight term must not dictate the scale, or the
+        # 0 * exp(large) products would go indeterminate.
+        m = np.maximum(*np.where(positive, np.abs(uv), -np.inf))
+    x = _PLUS_MINUS[:, :, None] * uv  # [[u; v]; [-u; -v]]
+    x -= m
+    if positive is not None:
+        # with no zero weight, m = max(|u|, |v|) keeps every exponent <= 0
+        np.minimum(x, 0.0, out=x)
+    np.exp(x, out=x)
+    x *= w
+    d = x[0] - x[1]
+    x[0] += x[1]
+    r = _sum_diff(d[0], d[1])
+    r /= x[0, 0] + x[0, 1]
+    return r
+
+
+def _ratios(uv: np.ndarray, weights: BatchWeights) -> np.ndarray:
+    """Both coupling ratios [r_L; r_R] of the (2, n) arguments uv = [u; v].
+
+    A batch that is all factored or all direct runs one branch on the
+    whole arrays, a mixed batch each branch on its own columns (NaN goes
+    to the factored one), so no element depends on the other columns.
+    """
+    m = np.maximum(*np.abs(uv))
+    if np.minimum.reduce(m, initial=np.inf) > _DIRECT_LIMIT:
+        return _factored(uv, m, weights.rows, weights.positive)
+    if np.maximum.reduce(m) <= _DIRECT_LIMIT:
+        return _direct(uv, weights.rows[0])
+    # take: fancy indexing on a later axis is slower and need not be C-contiguous
+    small = m <= _DIRECT_LIMIT
+    lo, hi = np.flatnonzero(small), np.flatnonzero(~small)
+    high = weights.take(hi)
+    parts = (_direct(uv.take(lo, axis=1), weights.rows[0].take(lo, axis=1)),
+             _factored(uv.take(hi, axis=1), m[hi], high.rows, high.positive))
+    r = np.empty_like(uv)
+    for cols, part in zip((lo, hi), parts):
+        r[0, cols], r[1, cols] = part
+    return r
+
+
+def guidance_ratios(t: float, z: np.ndarray, weights: BatchWeights,
+                    coeff: DerivedCoefficients) -> np.ndarray:
+    """Both guidance ratios [r_l; r_r] of the systems z = [z_l; z_r] at time t."""
+    uv = _sum_diff(z[0], z[1])
+    uv *= 0.5 * exponent_scale(t, coeff)
+    return _ratios(uv, weights)
+
+
+def guidance_velocity(t: float, z: np.ndarray, weights: BatchWeights,
+                      coeff: DerivedCoefficients, r: np.ndarray | None = None) -> np.ndarray:
+    """Velocities [v_l; v_r] of the systems z = [z_l; z_r] at time t.
+
+    ``r``, when given, is ``guidance_ratios(t, z, weights, coeff)``.
+    """
+    if r is None:
+        r = guidance_ratios(t, z, weights, coeff)
     kt = coeff.spread_rate * t
     kt2 = kt * kt
     denom = 1.0 + kt2
-    drift = coeff.spread_rate * kt / denom
-    spin_kick = coeff.accel * t * (2.0 - kt2 / denom)
-    return drift * z_l + r_l * spin_kick, drift * z_r + r_r * spin_kick
+    v = r * (coeff.accel * t * (2.0 - kt2 / denom))
+    v += z * (coeff.spread_rate * kt / denom)
+    return v
 
 
-def velocity_pair_batch(
-    t: float,
-    z_l: np.ndarray,
-    z_r: np.ndarray,
-    s2: np.ndarray,
-    c2: np.ndarray,
-    coeff: DerivedCoefficients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities (v_l, v_r) of many independent systems at time t.
+def ratio_pair_batch(u: np.ndarray, v: np.ndarray, s2: np.ndarray,
+                     c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both coupling ratios of many elements, overflow-safe; weights assumed validated."""
+    r = _ratios(np.stack((u, v)), BatchWeights(s2, c2))
+    return r[0], r[1]
 
-    The only evaluation of the guidance law in the package;
-    ``velocity_pair`` is a one-element call.
-    """
-    r_l, r_r = ratio_pair_at(t, z_l, z_r, s2, c2, coeff)
-    return velocity_from_ratios(t, z_l, z_r, r_l, r_r, coeff)
+
+def velocity_pair_batch(t: float, z_l: np.ndarray, z_r: np.ndarray, s2: np.ndarray,
+                        c2: np.ndarray,
+                        coeff: DerivedCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Velocities (v_l, v_r) of many independent systems at time t."""
+    v = guidance_velocity(t, np.stack((z_l, z_r)), BatchWeights(s2, c2), coeff)
+    return v[0], v[1]

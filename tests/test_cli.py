@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bohm_epr.experiment as experiment_mod
+import bohm_epr.integrate as integrate_mod
 from bohm_epr import (
     ConfigError,
     Efficiency,
@@ -612,6 +613,58 @@ def test_dumped_trajectories_do_not_depend_on_batch_mates(tmp_path):
     for i, (pair_id, view, _, _) in enumerate(views):
         assert last[(str(pair_id), view)] == [repr(float(exit_l[i])),
                                               repr(float(exit_r[i]))]
+
+
+# sha256 of trajectories.csv, taken before transport carried the stacked
+# (2, n) state; the local run has dual-view pairs, so both views of a pair
+# differ there, and every row holds repr() of the positions bit for bit
+GOLDEN_DUMPS = {
+    "local": (["--mode", "local", "--seed", "4", "--pairs", "6", "--record-every", "250"],
+              157, "675e7071f87639cb8c0ba69481997497b59b0342d51479e028e84337894d218b"),
+    "nonlocal": (["--mode", "nonlocal", "--seed", "7", "--pairs", "4", "--record-every", "300"],
+                 89, "d0290b3ffcece7eb5e658e66961d2554aacc77e1cab4e2616ea371b7827cde1d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_golden_trajectories(name, tmp_path):
+    argv, n_lines, digest = GOLDEN_DUMPS[name]
+    assert main(["dump-trajectories", *argv, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trajectories.csv").read_bytes()
+    assert len(data.splitlines()) == n_lines
+    if name == "local":
+        last = {}
+        for row in data.decode().splitlines()[1:]:
+            pair_id, view, step, _, z_l, z_r = row.split(",")
+            if step == "3000":
+                last.setdefault(pair_id, {})[view] = (z_l, z_r)
+        assert any(views["A"] != views["B"] for views in last.values())
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_oversized_dump_is_refused_before_transport(tmp_path, capsys, monkeypatch):
+    # a kernel that raises stops any dump that gets past the refusal at
+    # its first call, so the oversized case never runs for real
+    calls = []
+
+    def kernel(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the dump reached the kernel")
+
+    monkeypatch.setattr(integrate_mod, "guidance_velocity", kernel)
+    out = tmp_path / "dump"
+    # 100000 pairs x 2 views x 3001 recorded steps: about 8 GB held
+    for pairs in ("100000", "1667"):
+        assert main(["dump-trajectories", "--pairs", pairs, "--record-every", "1",
+                     "--out", str(out)]) == 2
+        assert "more than 10000000" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    # 1666 pairs x 2 x 3001 = 9999332 rows is within the bound
+    with pytest.raises(AssertionError, match="reached the kernel"):
+        main(["dump-trajectories", "--pairs", "1666", "--record-every", "1",
+              "--out", str(out)])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode,seed,view", [

@@ -82,13 +82,13 @@ def test_transit_shorter_than_saturation(batch):
 
 def _counting_kernel(monkeypatch):
     sizes = []
-    real = integrate_mod.velocity_pair_batch
+    real = integrate_mod.guidance_velocity
 
-    def kernel(t, z_l, z_r, s2, c2, coeff):
-        sizes.append(len(z_l))
-        return real(t, z_l, z_r, s2, c2, coeff)
+    def kernel(t, z, weights, coeff, r=None):
+        sizes.append(z.shape[1])
+        return real(t, z, weights, coeff, r)
 
-    monkeypatch.setattr(integrate_mod, "velocity_pair_batch", kernel)
+    monkeypatch.setattr(integrate_mod, "guidance_velocity", kernel)
     return sizes
 
 
@@ -111,15 +111,15 @@ def test_divergence_names_the_input_index_after_compaction(monkeypatch):
     z_r0 = np.array([-1.0e-3, 1.0e-3, 0.0, 2.0e-3, 1.0e-3])
     s2 = np.array([0.5, 0.3, 0.25, 0.7, 0.0])
     sizes = _counting_kernel(monkeypatch)
-    counted = integrate_mod.velocity_pair_batch
+    counted = integrate_mod.guidance_velocity
 
-    def poisoned(t, z_l, z_r, s2_, c2_, coeff):
-        v_l, v_r = counted(t, z_l, z_r, s2_, c2_, coeff)
+    def poisoned(t, z, weights, coeff, r=None):
+        v = counted(t, z, weights, coeff, r)
         if t > 1.0002e-3:
-            v_l = np.where(s2_ == 0.25, math.nan, v_l)
-        return v_l, v_r
+            v[0] = np.where(weights.rows[0, 0] == 0.25, math.nan, v[0])
+        return v
 
-    monkeypatch.setattr(integrate_mod, "velocity_pair_batch", poisoned)
+    monkeypatch.setattr(integrate_mod, "guidance_velocity", poisoned)
     with pytest.raises(IntegrationDiverged) as err:
         integrate_retiring(z_l0, z_r0, s2, 1.0 - s2, CO, FULL)
     assert err.value.system_index == 2

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bohm_epr import (
     ConfigError,
@@ -22,7 +24,12 @@ from bohm_epr import (
     stable_ratio,
     velocity_pair,
 )
-from bohm_epr.velocity import ratio_pair_batch, velocity_pair_batch
+from bohm_epr.velocity import (
+    BatchWeights,
+    guidance_velocity,
+    ratio_pair_batch,
+    velocity_pair_batch,
+)
 
 CO = derive_coefficients(SILVER)
 
@@ -259,3 +266,106 @@ def test_batch_result_does_not_depend_on_position_in_batch():
         one_l, one_r = ratio_pair_batch(u[i:i + 1], v[i:i + 1], s2[i:i + 1], c2[i:i + 1])
         assert one_l.tobytes() == full_l[i:i + 1].tobytes()
         assert one_r.tobytes() == full_r[i:i + 1].tobytes()
+
+
+# The ratio formulas as they were written before the kernel stacked u and v
+# into one array: each branch on 1-D arrays, picked per element.
+def _direct_ratios(u, v, s2, c2):
+    su = s2 * np.sinh(u)
+    cv = c2 * np.sinh(v)
+    den = s2 * np.cosh(u) + c2 * np.cosh(v)
+    return (su + cv) / den, (su - cv) / den
+
+
+def _factored_ratios(u, v, s2, c2):
+    m = np.maximum(np.where(s2 > 0.0, np.abs(u), -np.inf),
+                   np.where(c2 > 0.0, np.abs(v), -np.inf))
+    eu = s2 * np.exp(np.minimum(u - m, 0.0))
+    enu = s2 * np.exp(np.minimum(-u - m, 0.0))
+    ev = c2 * np.exp(np.minimum(v - m, 0.0))
+    env = c2 * np.exp(np.minimum(-v - m, 0.0))
+    den = (eu + enu) + (ev + env)
+    return ((eu - enu) + (ev - env)) / den, ((eu - enu) - (ev - env)) / den
+
+
+def _reference_ratios(u, v, s2, c2):
+    small = np.maximum(np.abs(u), np.abs(v)) <= 300.0
+    rl = np.empty(u.shape)
+    rr = np.empty(u.shape)
+    for part, branch in ((small, _direct_ratios), (~small, _factored_ratios)):
+        rl[part], rr[part] = branch(u[part], v[part], s2[part], c2[part])
+    return np.clip(rl, -1.0, 1.0), np.clip(rr, -1.0, 1.0)
+
+
+KERNEL = settings(max_examples=80, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+_MAX = np.finfo(float).max
+_direct_arg = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([300.0, -300.0]))
+_large = st.one_of(st.floats(300.0, 1.0e7, exclude_min=True),
+                   st.just(float(np.nextafter(300.0, np.inf))),
+                   st.floats(1.0e7, _MAX))  # huge: -u - m overflows to -inf
+_factored_arg = st.one_of(_large, _large.map(lambda x: -x))
+_weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_direct_element = st.tuples(_direct_arg, _direct_arg, _weight)
+# at least one of |u|, |v| past the limit; in a near tie |u| and |v| differ
+# by little, so all four exponentials count in the sums
+_near_tie = st.builds(lambda u, sign, d, w: (u, sign * u + d, w),
+                      st.floats(300.0, 1.0e3, exclude_min=True).map(lambda x: x + 30.0),
+                      st.sampled_from([1.0, -1.0]), st.floats(-20.0, 20.0), _weight)
+_factored_element = st.one_of(
+    st.tuples(_factored_arg, st.one_of(_direct_arg, _factored_arg), _weight),
+    st.tuples(st.one_of(_direct_arg, _factored_arg), _factored_arg, _weight),
+    _near_tie)
+
+
+@st.composite
+def _batches(draw):
+    kind = draw(st.sampled_from(["direct", "factored", "mixed"]))
+    direct = draw(st.lists(_direct_element, min_size=kind != "factored",
+                           max_size=0 if kind == "factored" else 12))
+    factored = draw(st.lists(_factored_element, min_size=kind != "direct",
+                             max_size=0 if kind == "direct" else 12))
+    batch = draw(st.permutations(direct + factored))
+    u, v, s2 = (np.array(column, dtype=float) for column in zip(*batch))
+    return u, v, s2, 1.0 - s2
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@KERNEL
+@given(_batches())
+def test_stacked_kernel_matches_the_per_branch_formulas_bit_for_bit(batch):
+    u, v, s2, c2 = batch
+    with np.errstate(over="ignore"):
+        want = _reference_ratios(u, v, s2, c2)
+        got = ratio_pair_batch(u, v, s2, c2)
+        # no element's bits depend on its column or on its batch-mates
+        flipped = ratio_pair_batch(u[::-1].copy(), v[::-1].copy(), s2[::-1].copy(),
+                                   c2[::-1].copy())
+        alone = [ratio_pair_batch(u[i:i + 1], v[i:i + 1], s2[i:i + 1], c2[i:i + 1])
+                 for i in range(u.size)]
+    assert _bits(*got) == _bits(*want)
+    assert _bits(*flipped) == _bits(got[0][::-1].copy(), got[1][::-1].copy())
+    for i, (one_l, one_r) in enumerate(alone):
+        assert _bits(one_l, one_r) == _bits(got[0][i:i + 1], got[1][i:i + 1])
+
+
+@KERNEL
+@given(st.floats(0.0, 3.0e-3),
+       st.lists(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), _weight),
+                min_size=1, max_size=12))
+def test_stacked_velocity_matches_the_per_particle_law_bit_for_bit(t, batch):
+    z_l, z_r, s2 = (np.array(column, dtype=float) for column in zip(*batch))
+    c2 = 1.0 - s2
+    w = exponent_scale(t, CO)
+    r_l, r_r = _reference_ratios(0.5 * w * (z_l + z_r), 0.5 * w * (z_l - z_r), s2, c2)
+    kt = CO.spread_rate * t
+    kt2 = kt * kt
+    denom = 1.0 + kt2
+    drift = CO.spread_rate * kt / denom
+    spin_kick = CO.accel * t * (2.0 - kt2 / denom)
+    want = (drift * z_l + r_l * spin_kick, drift * z_r + r_r * spin_kick)
+    got = guidance_velocity(t, np.stack((z_l, z_r)), BatchWeights(s2, c2), CO)
+    assert _bits(got[0], got[1]) == _bits(*want)
