@@ -54,7 +54,6 @@ from .experiment import (
     check_kick_threshold,
     check_seed,
     count_rates,
-    integrate_views,
     kick_ratio,
     prepare_pairs,
     quiescent_config,
@@ -63,7 +62,7 @@ from .experiment import (
     setting_timelines,
     survival,
     table1_run,
-    view_systems,
+    transport_views,
     write_events_csv,
 )
 from .hooke import (
@@ -75,8 +74,7 @@ from .hooke import (
     write_spring_csv,
 )
 from .infomodel import InformationMode
-from .integrate import integrate_batch
-from .physconst import RawPhysicalInputs, derive_coefficients
+from .physconst import RawPhysicalInputs
 
 ENV_SEED = "BOHM_EPR_SEED"
 # rows of trajectories.csv (pair x view x recorded step), held until written
@@ -426,8 +424,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out)
 
     all_rows = [
-        table1_run(master_seed=seed, n_pairs=args.pairs,
-                   workers=args.workers, replicate=r)
+        table1_run(master_seed=seed, n_pairs=args.pairs, replicate=r)
         for r in range(replicates)
     ]
     main_rows = all_rows[0]
@@ -547,10 +544,8 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
         raise ConfigError(f"the dump would hold {rows} rows, more than {_MAX_DUMP_ROWS}; "
                           "dump fewer pairs or raise --record-every")
     out_dir = _ensure_out(args.out)
-    coeff = derive_coefficients(cfg.physics)
     table = prepare_pairs(cfg, limit=n_dump)
-    systems, a_sys, b_sys = view_systems(table)
-    z_l, z_r = integrate_views(integrate_batch, systems, a_sys, b_sys, cfg.mode, coeff, icfg)
+    z_l, z_r, a_sys, b_sys = transport_views(table, cfg, args.record_every)
     steps = icfg.recorded_steps()
     with _run_files(out_dir) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
@@ -603,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--pairs", type=int, metavar="N", default=4000)
     table.add_argument("--replicates", type=int, metavar="R", default=1,
                        help="repeat with derived seeds and report the spread")
-    table.add_argument("--workers", type=int, metavar="N", default=1,
-                       help="accepted for compatibility; changes nothing")
     table.add_argument("--out", metavar="DIR", default=".")
     table.set_defaults(func=_cmd_table1)
 

@@ -26,12 +26,12 @@ pair i:
    S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
 The pairs travel as one ``PairTable`` of numpy columns: ``prepare_pairs``
-fills it, ``view_systems`` turns it into transport systems, the outcomes
-join it as two more columns, and the cells, singles and events.csv are
-read from it. Every random draw comes from a stream derived from
-(master_seed, role, index), so reruns with one seed are reproducible
-pair by pair. The worker count is accepted for compatibility and
-changes nothing.
+fills it, ``transport_views`` transports its views in chunks, for runs
+and dumps alike, the outcomes join it as two more columns, and the
+cells, singles and events.csv are read from it. Every random draw comes
+from a stream derived from (master_seed, role, index), so reruns with
+one seed are reproducible pair by pair. The worker count is accepted
+for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ from .infomodel import (
     seen_angles,
     static_timeline,
 )
-from .integrate import IntegrationConfig, integrate_retiring, sign_outcome
+from .integrate import IntegrationConfig, integrate_batch, integrate_retiring, sign_outcome
 from .physconst import (
     LIGHT_SPEED,
-    DerivedCoefficients,
     RawPhysicalInputs,
     SILVER,
     derive_coefficients,
@@ -218,8 +217,9 @@ class ExperimentConfig:
             raise ConfigError("source_to_magnet must be non-negative")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigError("workers must be a positive integer")
-        # built here so a bad dt fails before prepare
-        cover = self.flight_time + self.transport_grid().duration
+        # built here so a bad dt fails before prepare; n_steps * dt is the transit that runs
+        grid = self.transport_grid()
+        cover = self.flight_time + grid.n_steps * grid.dt
         if not math.isfinite(self.pair_period) or self.pair_period < cover:
             raise ConfigError(
                 f"pair_period must cover flight plus magnet transit ({cover:.6g} s)")
@@ -711,78 +711,65 @@ def view_systems(
     count = 1 + dual
     a_sys = np.cumsum(count) - count
     b_sys = a_sys + count - 1
-    m = int(count.sum())
-    angle_a = np.empty(m)
-    angle_b = np.empty(m)
-    angle_a[a_sys], angle_b[a_sys] = table.setting_a, table.b_seen_by_a
-    angle_a[b_sys], angle_b[b_sys] = table.a_seen_by_b, table.setting_b
-    # SettingPair.weights() (math.sin) once per distinct setting pair and
-    # gathered: np.sin may differ from it in the last bit
-    distinct, inverse = np.unique(np.stack((angle_a, angle_b), axis=1), axis=0,
-                                  return_inverse=True)
-    weights = np.array([SettingPair(a, b).weights() for a, b in distinct.tolist()])
-    s2, c2 = weights.reshape(-1, 2)[inverse.reshape(-1)].T
-    # copy makes each weight column contiguous
+    diff = np.empty(int(count.sum()))
+    diff[a_sys] = table.setting_a - table.b_seen_by_a
+    diff[b_sys] = table.a_seen_by_b - table.setting_b
+    # the weights depend on the angle difference alone, and weights() makes
+    # this same subtraction; math.sin runs once per distinct difference
+    # because np.sin may differ from it in the last bit
+    distinct, inverse = np.unique(diff, return_inverse=True)
+    s2, c2 = np.array([SettingPair(d, 0.0).weights()
+                       for d in distinct.tolist()]).reshape(-1, 2).T
     systems = (np.repeat(table.z_l0, count), np.repeat(table.z_r0, count),
-               s2.copy(), c2.copy())
+               s2[inverse], c2[inverse])
     return systems, a_sys, b_sys
 
 
-def _system_label(index: int, a_sys: np.ndarray, b_sys: np.ndarray) -> str:
-    pair = int(np.searchsorted(a_sys, index, side="right")) - 1
-    if a_sys[pair] == b_sys[pair]:
-        return f"pair {pair}, view A and B"
-    return f"pair {pair}, view {'A' if index == a_sys[pair] else 'B'}"
-
-
-def integrate_views(integrate, systems: tuple[np.ndarray, ...], a_sys: np.ndarray,
-                    b_sys: np.ndarray, mode: InformationMode,
-                    coeff: DerivedCoefficients, icfg: IntegrationConfig, lo: int = 0):
-    """``integrate(*systems, coeff, icfg)``, with a divergence named by pair and view.
-
-    ``systems`` may be a slice of the arrays ``view_systems`` returned,
-    starting at system ``lo``; ``a_sys`` and ``b_sys`` are whole.
-    """
-    try:
-        return integrate(*systems, coeff, icfg)
-    except IntegrationDiverged as err:
-        index = lo + (err.system_index if err.system_index is not None else 0)
-        raise IntegrationDiverged(
-            step=err.step, system_index=index,
-            detail=f"{_system_label(index, a_sys, b_sys)}, {mode.value} mode") from err
-
-
-def _transport_all(
+def transport_views(
     table: PairTable,
     cfg: ExperimentConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate every needed view; returns per-pair outcome arrays.
+    record_every: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transport every view of every pair; returns (z_l, z_r, a_sys, b_sys).
 
-    Pairs whose two views coincide are integrated once; differing views
-    get one system each. Systems go through the retiring transport in
-    fixed-size chunks, which only bound the working memory: systems are
-    independent, so the chunk size changes no result. Only the exit
-    signs are needed.
+    The systems of ``view_systems`` go through the transport in chunks
+    of ``_BATCH_CHUNK``, which only bound the working memory: systems
+    are independent, so the chunk size changes no result. With
+    ``record_every`` > 0, ``integrate_batch`` runs the full transit and
+    z_l, z_r are (recorded step, system) arrays; otherwise z_l, z_r are
+    the exits of ``integrate_retiring``. A divergence is raised again
+    with its system's index in the whole run, named by pair, view and mode.
     """
     coeff = derive_coefficients(cfg.physics)
-    icfg = cfg.transport_grid()
+    icfg = cfg.transport_grid(record_every)
+    # retired systems have no later steps to record
+    integrate = integrate_batch if record_every else integrate_retiring
     systems, a_sys, b_sys = view_systems(table)
     m = len(systems[0])
-    out_l = np.empty(m)
-    out_r = np.empty(m)
+    shape = (len(icfg.recorded_steps()), m) if record_every else m
+    z_l, z_r = np.empty(shape), np.empty(shape)
     for lo in range(0, m, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, m)
-        out_l[lo:hi], out_r[lo:hi] = integrate_views(
-            integrate_retiring, tuple(a[lo:hi] for a in systems), a_sys, b_sys,
-            cfg.mode, coeff, icfg, lo)
-    return sign_outcome(out_l[a_sys]), sign_outcome(out_r[b_sys])
+        try:
+            z_l[..., lo:hi], z_r[..., lo:hi] = integrate(
+                *(a[lo:hi] for a in systems), coeff, icfg)
+        except IntegrationDiverged as err:
+            index = lo + (err.system_index or 0)
+            pair = int(np.searchsorted(a_sys, index, side="right")) - 1
+            view = ("A and B" if a_sys[pair] == b_sys[pair]
+                    else "A" if index == a_sys[pair] else "B")
+            raise IntegrationDiverged(
+                step=err.step, system_index=index,
+                detail=f"pair {pair}, view {view}, {cfg.mode.value} mode") from err
+    return z_l, z_r, a_sys, b_sys
 
 
 def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute a full run and aggregate its statistics."""
     start = time.perf_counter()
     table = prepare_pairs(cfg)
-    outcome_a, outcome_b = _transport_all(table, cfg)
+    z_l, z_r, a_sys, b_sys = transport_views(table, cfg)
+    outcome_a, outcome_b = sign_outcome(z_l[a_sys]), sign_outcome(z_r[b_sys])
     table = replace(table, outcome_a=outcome_a, outcome_b=outcome_b)
 
     coincident = table.survived_a & table.survived_b
@@ -931,7 +918,6 @@ class TableRow:
 def table1_run(
     master_seed: int = DEFAULT_SEED,
     n_pairs: int = 4000,
-    workers: int = 1,
     replicate: int = 0,
 ) -> list[TableRow]:
     """The four-row summary table over both modes and both loss settings.
@@ -953,7 +939,6 @@ def table1_run(
             normalization=normalization,
             kick_threshold=0.0 if inefficient else 1.0e-3,
             master_seed=row_seed,
-            workers=workers,
         )
         report = run_epr(cfg)
         if report.bell is None:

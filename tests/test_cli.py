@@ -471,6 +471,14 @@ def test_table1_command(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_table1_has_no_workers_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table1", "--workers", "2", "--pairs", "8", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_table1_rejects_bad_replicates(tmp_path):
     assert main(["table1", "--pairs", "60", "--replicates", "0",
                  "--out", str(tmp_path)]) == 2
@@ -613,6 +621,20 @@ def test_dumped_trajectories_do_not_depend_on_batch_mates(tmp_path):
     for i, (pair_id, view, _, _) in enumerate(views):
         assert last[(str(pair_id), view)] == [repr(float(exit_l[i])),
                                               repr(float(exit_r[i]))]
+
+
+def test_dump_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    argv = ["dump-trajectories", "--mode", "local", "--seed", "4", "--pairs", "5",
+            "--record-every", "400"]
+    t = prepare_pairs(ExperimentConfig(n_pairs=5, master_seed=4, mode=InformationMode.LOCAL))
+    assert ((t.a_seen_by_b != t.setting_a) | (t.b_seen_by_a != t.setting_b)).any()
+    dumps = []
+    for chunk in (1, 4096):
+        monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        assert main([*argv, "--out", str(out)]) == 0
+        dumps.append((out / "trajectories.csv").read_bytes())
+    assert dumps[0] == dumps[1]
 
 
 # sha256 of trajectories.csv, taken before transport carried the stacked

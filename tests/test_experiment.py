@@ -40,9 +40,11 @@ from bohm_epr.experiment import (
     pair_draws,
     pair_stream,
     prepare_pairs,
+    view_systems,
 )
 from bohm_epr.integrate import sample_initial
 from bohm_epr.physconst import LIGHT_SPEED
+from bohm_epr.velocity import SettingPair
 
 KICK_1E4 = 3.335555925431646e-07
 KICK_1E7 = 3.3344448149383126e-04
@@ -483,6 +485,44 @@ def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explic
     # local mode reads news of earlier launches, and pairs get lost
     assert _split_views(limited).any()
     assert not (limited.survived_a & limited.survived_b).all()
+
+
+def test_pair_period_must_cover_the_transit_that_runs():
+    # dt = 0.7 us rounds the 3 ms transit to 4286 steps, 3.0002 ms; a period
+    # that covers only 3 ms would put the next launch's switch inside it
+    with pytest.raises(ConfigError, match=r"pair_period must cover .* \(0\.0065002 s\)"):
+        ExperimentConfig(n_pairs=8, dt=0.7e-6, pair_period=0.006500000000000001)
+
+
+def test_view_weights_are_keyed_by_angle_difference():
+    q = math.pi / 4.0
+    # (A view, B view) of each pair: views that share an angle difference
+    # but not their angles, zero differences of both signs, a pair whose
+    # views agree, and differences in an order unlike the pairs'
+    views = [((0.0, q), (2.0 * q, 3.0 * q)),
+             ((2.0 * q, 3.0 * q), (0.0, q)),
+             ((0.0, 0.0), (-0.0, 0.0)),
+             ((1.0, 1.0), (0.0, -0.0)),
+             ((0.3, 0.3 + q), (0.3, 0.3 + q)),
+             ((q, 0.0), (3.0 * q, 2.0 * q)),
+             ((-0.0, -0.0), (2.0 * q, 0.0))]
+    n = len(views)
+    (a_a, b_a), (a_b, b_b) = (np.array(column).T for column in zip(*views))
+    flags = np.zeros(n, dtype=bool)
+    table = PairTable(pair_id=np.arange(n), z_l0=np.linspace(-1.0e-3, 1.0e-3, n),
+                      z_r0=np.linspace(2.0e-3, -2.0e-3, n), setting_a=a_a, setting_b=b_b,
+                      a_index=np.zeros(n, dtype=int), b_index=np.zeros(n, dtype=int),
+                      b_seen_by_a=b_a, a_seen_by_b=a_b, switched_a=flags, switched_b=flags,
+                      survived_a=~flags, survived_b=~flags)
+    (z_l0, z_r0, s2, c2), a_sys, b_sys = view_systems(table)
+    # pair 2 alone has one system: -0.0 == 0.0, so its views agree
+    assert len(s2) == 2 * n - 2
+    assert a_sys[3] == b_sys[3] - 1 and a_sys[4] == b_sys[4]
+    for k, view_angles in enumerate(views):
+        for system, (a, b) in zip((a_sys[k], b_sys[k]), view_angles):
+            assert np.array([s2[system], c2[system]]).tobytes() == \
+                np.array(SettingPair(a, b).weights()).tobytes()
+            assert (z_l0[system], z_r0[system]) == (table.z_l0[k], table.z_r0[k])
 
 
 def test_explicit_list_validation_happens_at_run_time():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bohm_epr.experiment as experiment_mod
 import bohm_epr.integrate as integrate_mod
 from bohm_epr import (
     ConfigError,
@@ -21,6 +22,7 @@ from bohm_epr import (
     integrate_retiring,
     run_epr,
 )
+from bohm_epr.experiment import prepare_pairs, view_systems
 
 CO = derive_coefficients(SILVER)
 FULL = IntegrationConfig(dt=1.0e-6, duration=CO.transit_time)
@@ -140,6 +142,30 @@ def test_run_epr_divergence_names_the_pair():
         assert err.value.step == 1
         assert err.value.system_index == 0
         assert str(err.value).endswith(f": pair 0, {view}, {mode.value} mode")
+
+
+def test_run_epr_divergence_in_a_later_chunk_names_the_pair(monkeypatch):
+    cfg = ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)
+    # at this seed pair 0 has one system and pairs 1 and 2 two each, so in
+    # chunks of three the second chunk's system 1 is system 4, pair 2's B view
+    _, a_sys, b_sys = view_systems(prepare_pairs(cfg))
+    assert (a_sys[:3].tolist(), b_sys[:3].tolist()) == ([0, 1, 3], [0, 2, 4])
+    monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 3)
+    real = experiment_mod.integrate_retiring
+    chunks = []
+
+    def failing_second_chunk(*args, **kwargs):
+        chunks.append(len(args[0]))
+        if len(chunks) == 2:
+            raise IntegrationDiverged(step=7, system_index=1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing_second_chunk)
+    with pytest.raises(IntegrationDiverged) as err:
+        run_epr(cfg)
+    assert chunks == [3, 3]
+    assert (err.value.step, err.value.system_index) == (7, 4)
+    assert str(err.value) == "non-finite state at step 7 (system 4): pair 2, view B, local mode"
 
 
 @pytest.mark.parametrize("s2,c2", [
