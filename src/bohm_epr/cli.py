@@ -323,7 +323,9 @@ def _run_files(out_dir: str):
     to its name in staging order, so the manifest, staged last, comes
     last. When the block or a rename fails, every staged file and every
     file already renamed is removed, and an OSError about a staged file
-    is raised again under the output's own name.
+    is raised again under the output's own name. An OSError that names
+    no file, as a failed write to an open file does, is about the output
+    staged last.
     """
     staged: dict[str, str] = {}
 
@@ -342,8 +344,9 @@ def _run_files(out_dir: str):
         for path in (*staged, *placed):
             with contextlib.suppress(OSError):
                 os.remove(path)
-        if isinstance(err, OSError) and err.filename in staged:
-            raise OSError(err.errno, err.strerror, staged[err.filename]) from err
+        if isinstance(err, OSError) and staged and err.filename in (*staged, None):
+            name = staged.get(err.filename) or [*staged.values()][-1]
+            raise OSError(err.errno, err.strerror, name) from err
         raise
 
 
@@ -544,20 +547,20 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
         raise ConfigError(f"the dump would hold {rows} rows, more than {_MAX_DUMP_ROWS}; "
                           "dump fewer pairs or raise --record-every")
     out_dir = _ensure_out(args.out)
-    table = prepare_pairs(cfg, limit=n_dump)
+    table = prepare_pairs(cfg)
     z_l, z_r, a_sys, b_sys = transport_views(table, cfg, args.record_every)
     steps = icfg.recorded_steps()
     with _run_files(out_dir) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
             fh.write("pair_id,view,step,t,z_L,z_R\n")
-            for pair_id, a, b in zip(table.pair_id.tolist(), a_sys.tolist(), b_sys.tolist()):
+            for pair_id, a, b in zip(range(n_dump), a_sys.tolist(), b_sys.tolist()):
                 for view, s in (("A", a), ("B", b)):
                     for k, step in enumerate(steps):
                         fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
                                  f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
         write_manifest(stage("manifest.json"), cfg, ["trajectories.csv", "manifest.json"],
                        "dump-trajectories", provenance, started)
-    print(f"dumped {len(table)} pairs to trajectories.csv in {out_dir}")
+    print(f"dumped {n_dump} pairs to trajectories.csv in {out_dir}")
     return 0
 
 

@@ -26,9 +26,10 @@ pair i:
    S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
 The pairs travel as one ``PairTable`` of numpy columns: ``prepare_pairs``
-fills it, ``transport_views`` transports its views in chunks, for runs
-and dumps alike, the outcomes join it as two more columns, and the
-cells, singles and events.csv are read from it. Every random draw comes
+fills it from each pair's two ``read_times`` instants, ``transport_views``
+transports its views in chunks, for runs and dumps alike, the outcomes
+join it as two more columns, and the cells, singles and events.csv are
+read from it. Every random draw comes
 from a stream derived from (master_seed, role, index), so reruns with
 one seed are reproducible pair by pair. The worker count is accepted
 for compatibility and changes nothing.
@@ -51,7 +52,6 @@ from .infomodel import (
     SideTimeline,
     check_geometry,
     read_times,
-    seen_angles,
     static_timeline,
 )
 from .integrate import IntegrationConfig, integrate_batch, integrate_retiring, sign_outcome
@@ -61,7 +61,7 @@ from .physconst import (
     SILVER,
     derive_coefficients,
 )
-from .velocity import SettingPair, Side
+from .velocity import SettingPair
 
 CELL_LABELS = ("ab", "ab'", "a'b", "a'b'")
 _CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
@@ -223,6 +223,8 @@ class ExperimentConfig:
         if not math.isfinite(self.pair_period) or self.pair_period < cover:
             raise ConfigError(
                 f"pair_period must cover flight plus magnet transit ({cover:.6g} s)")
+        if not math.isfinite(self.n_pairs * self.pair_period):
+            raise ConfigError(f"pair_period {self.pair_period!r} overflows the launch times")
         for policy_name, list_name in (
             ("switch_policy_a", "explicit_a"),
             ("switch_policy_b", "explicit_b"),
@@ -536,16 +538,15 @@ def derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
-def _launches(cfg: ExperimentConfig, n: int) -> np.ndarray:
-    return np.arange(n, dtype=float) * cfg.pair_period
+def _launches(cfg: ExperimentConfig) -> np.ndarray:
+    return np.arange(cfg.n_pairs, dtype=float) * cfg.pair_period
 
 
 def setting_timelines(
     cfg: ExperimentConfig,
-    n: int | None = None,
     menu_draws: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SettingTimelines:
-    """Both analyzers' switching histories over the first ``n`` launches (all by default).
+    """Both analyzers' switching histories over the run's launches.
 
     A per-pair-random side starts at the angle the init stream drew and
     at launch i takes the menu angle of index ``menu_draws[side][i]``,
@@ -558,7 +559,7 @@ def setting_timelines(
             raise ValueError("per-pair-random switching needs the pairs' menu draws")
         rng_init = init_stream(cfg.master_seed)
         firsts = [menu[int(rng_init.integers(0, 2))] for _, menu, _ in sides]
-    launches = _launches(cfg, cfg.n_pairs if n is None else n)
+    launches = _launches(cfg)
     timelines = []
     for k, (policy, menu, explicit) in enumerate(sides):
         if policy is SwitchPolicy.STATIC:
@@ -600,15 +601,14 @@ class Survival:
         return int((self.survived_a & self.survived_b).sum())
 
 
-def survival(cfg: ExperimentConfig, timelines: SettingTimelines,
-             n: int | None = None) -> Survival:
-    """Switches during each of the first ``n`` flights [launch, entry], and the losses they cause.
+def survival(cfg: ExperimentConfig, timelines: SettingTimelines) -> Survival:
+    """Switches during each flight [launch, entry], and the losses they cause.
 
     A side switched when its timeline changes inside the closed window;
     ``detector_loss`` then decides whether its particle is lost. No pair
     stream is drawn and nothing is transported.
     """
-    launches = _launches(cfg, cfg.n_pairs if n is None else n)
+    launches = _launches(cfg)
     t_entry = launches + cfg.flight_time
     switched_a = timelines.side_a.changes_in(launches, t_entry)
     switched_b = timelines.side_b.changes_in(launches, t_entry)
@@ -627,23 +627,33 @@ def _menu_indices(menu: tuple[float, float], angles: np.ndarray) -> np.ndarray:
     return np.where(angles == menu[0], 0, np.where(angles == menu[1], 1, -1))
 
 
-def _check_frozen_settings(cfg: ExperimentConfig, timelines: SettingTimelines,
-                           launches: np.ndarray) -> None:
-    """Refuse a switch, or news of one, that lands inside a pair's magnet transit.
+def _check_reads(cfg: ExperimentConfig, timelines: SettingTimelines, launches: np.ndarray,
+                 t_own: np.ndarray, t_partner: np.ndarray) -> None:
+    """Refuse a run whose settings reads transport cannot honour.
 
-    Transport reads both views once, at magnet entry, so such a switch
-    would be ignored. Each side reads its own angle and, in local mode,
-    its partner's at ``read_times``; a switch counts when it falls
-    strictly after such a read and before the read plus the transit. A
-    switch at the read time itself is read there and is not refused.
+    Each side reads its own angle at ``t_own`` and its partner's at
+    ``t_partner`` (the same instants in nonlocal mode), and transport
+    reads both views once, at magnet entry. So a pair must leave its
+    magnets by the next launch, no read may precede an explicit list,
+    and a switch, or its news, strictly inside (read, read + transit)
+    would be ignored. A switch at the read time itself is read there.
     """
     grid = cfg.transport_grid()
     transit = grid.n_steps * grid.dt
-    t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
-    reads = [(t_own, "analyzer {side} switches")]
-    if cfg.mode is InformationMode.LOCAL:
-        reads.append((t_partner, "news of analyzer {side}'s switch reaches side {partner}"))
+    late = t_own[:-1] + transit > launches[1:]
+    if late.any():
+        i = int(np.argmax(late))
+        raise ConfigError(f"pair_period must cover flight plus magnet transit: pair {i} leaves "
+                          f"its magnets at {float(t_own[i] + transit)!r} s, after launch {i + 1} "
+                          f"at {float(launches[i + 1])!r} s")
+    reads = [(t_own, "analyzer {side} switches"),
+             (t_partner, "news of analyzer {side}'s switch reaches side {partner}")]
     for side, partner, timeline in (("A", "B", timelines.side_a), ("B", "A", timelines.side_b)):
+        # pair 0 reads first; only an explicit list starts at a finite time
+        if t_partner[0] < timeline.entries[0][0]:
+            raise ConfigError(f"explicit_{side.lower()} must start at or before t = "
+                              f"{float(t_partner[0])!r} s, where side {partner} reads it for "
+                              f"pair 0 in local mode")
         for t_read, what in reads:
             inside = timeline.changes_in(np.nextafter(t_read, math.inf),
                                          np.nextafter(t_read + transit, -math.inf))
@@ -656,40 +666,35 @@ def _check_frozen_settings(cfg: ExperimentConfig, timelines: SettingTimelines,
                     f"at magnet entry")
 
 
-def prepare_pairs(cfg: ExperimentConfig, limit: int | None = None) -> PairTable:
+def prepare_pairs(cfg: ExperimentConfig) -> PairTable:
     """Draw, switch, propagate information, and apply losses for each pair.
 
-    Returns the first ``limit`` pairs (all by default) ready for
-    transport. Pairs that lose a particle are still prepared in full;
-    their trajectories remain well defined even though only surviving
-    outcomes reach the detectors. The switching and loss columns come
-    from ``setting_timelines`` and ``survival``. A switch, or news of
-    one, inside a pair's magnet transit raises ConfigError.
-
-    Only the first ``limit`` pair streams are drawn and only their
-    launches enter the switching timelines. That cut is exact:
-    ``pair_period >= flight + transit`` puts every timeline query of
-    pair j at or before its magnet entry, which comes before launch
-    j + 1.
+    Pairs that lose a particle are still prepared in full; their
+    trajectories remain well defined even though only surviving outcomes
+    reach the detectors. The switching and loss columns come from
+    ``setting_timelines`` and ``survival``. Each pair's angles are read
+    at its two ``read_times``; ``_check_reads`` refuses the reads that
+    transport cannot honour.
     """
-    n = cfg.n_pairs if limit is None else max(0, min(limit, cfg.n_pairs))
-    a_rand, b_rand, z_l0, z_r0 = pair_draws(cfg.master_seed, n, cfg.physics.packet_width)
-    timelines = setting_timelines(cfg, n, (a_rand, b_rand))
-    launches = _launches(cfg, n)
-    _check_frozen_settings(cfg, timelines, launches)
-    setting_a, b_seen_by_a = seen_angles(Side.L, cfg.flight_time, timelines, cfg.mode, launches)
-    a_seen_by_b, setting_b = seen_angles(Side.R, cfg.flight_time, timelines, cfg.mode, launches)
-    detected = survival(cfg, timelines, n)
+    a_rand, b_rand, z_l0, z_r0 = pair_draws(cfg.master_seed, cfg.n_pairs,
+                                            cfg.physics.packet_width)
+    timelines = setting_timelines(cfg, (a_rand, b_rand))
+    launches = _launches(cfg)
+    t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
+    _check_reads(cfg, timelines, launches, t_own, t_partner)
+    setting_a = timelines.side_a.angles_at(t_own)
+    setting_b = timelines.side_b.angles_at(t_own)
+    detected = survival(cfg, timelines)
     return PairTable(
-        pair_id=np.arange(n),
+        pair_id=np.arange(cfg.n_pairs),
         z_l0=z_l0,
         z_r0=z_r0,
         setting_a=setting_a,
         setting_b=setting_b,
         a_index=_menu_indices(cfg.angles_a, setting_a),
         b_index=_menu_indices(cfg.angles_b, setting_b),
-        b_seen_by_a=b_seen_by_a,
-        a_seen_by_b=a_seen_by_b,
+        b_seen_by_a=timelines.side_b.angles_at(t_partner),
+        a_seen_by_b=timelines.side_a.angles_at(t_partner),
         switched_a=detected.switched_a,
         switched_b=detected.switched_b,
         survived_a=detected.survived_a,

@@ -2,18 +2,19 @@
 
 A ``SideTimeline`` is the switching history of one analyzer: a sorted
 sequence of (time, angle) change points, the first of which must sit at
-or before t = 0 so every query has an answer. ``SettingTimelines`` bundles
+or before t = 0. A query before the first entry has no answer; the run
+refuses a local-mode read that falls there. ``SettingTimelines`` bundles
 both sides with the station separation and the speed at which setting
 news is allowed to travel.
 
-``seen_angles`` gives the setting pair a given side uses when it
-evaluates the guidance law at each of many times t (``effective_settings``
-is its one-element form):
+``read_times`` gives the instants at which a side reads the angles it
+uses to evaluate the guidance law at each of many times t, and
+``effective_settings`` the setting pair it reads at one such time:
 
-* its own angle is always the current one, ``angle_at(t)``;
+* its own angle is always the current one, read at t;
 * in nonlocal mode the partner angle is also current;
 * in local mode the partner angle is the one in force a light-crossing
-  ago, ``angle_at(t - separation / signal_speed)``, i.e. the freshest
+  ago, read at ``t - separation / signal_speed``, i.e. the freshest
   value a signal at ``signal_speed`` could have delivered.
 
 With ``signal_speed`` set to the true speed of light the delay for any
@@ -144,29 +145,13 @@ def read_times(
     return origin + t_eval, origin + lag
 
 
-def seen_angles(
-    side: Side,
-    t_eval: np.ndarray,
-    timelines: SettingTimelines,
-    mode: InformationMode,
-    origin: np.ndarray | float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (angle_a, angle_b) one side attributes to the apparatus at each origin + t_eval.
-
-    The angles are read at ``read_times``.
-    """
-    t_own, t_partner = read_times(t_eval, timelines, mode, origin)
-    if side is Side.L:
-        return timelines.side_a.angles_at(t_own), timelines.side_b.angles_at(t_partner)
-    return timelines.side_a.angles_at(t_partner), timelines.side_b.angles_at(t_own)
-
-
 def effective_settings(
     side: Side,
     t_eval: float,
     timelines: SettingTimelines,
     mode: InformationMode,
 ) -> SettingPair:
-    """One-element ``seen_angles``, as the setting pair."""
-    angle_a, angle_b = seen_angles(side, np.array([t_eval]), timelines, mode)
-    return SettingPair(angle_a=float(angle_a[0]), angle_b=float(angle_b[0]))
+    """The setting pair one side attributes to the apparatus at t_eval, read at ``read_times``."""
+    t_own, t_partner = read_times(t_eval, timelines, mode)
+    t_a, t_b = (t_own, t_partner) if side is Side.L else (t_partner, t_own)
+    return SettingPair(timelines.side_a.angle_at(t_a), timelines.side_b.angle_at(t_b))

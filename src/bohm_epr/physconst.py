@@ -103,8 +103,12 @@ class DerivedCoefficients:
 def derive_coefficients(raw: RawPhysicalInputs) -> DerivedCoefficients:
     """Reduce bench numbers to the four quantities the dynamics depends on."""
     accel = raw.field_gradient * raw.magnetic_moment / (2.0 * raw.mass)
-    exp_coeff = 2.0 * accel / raw.packet_width**2
-    spread_rate = HBAR / (2.0 * raw.mass * raw.packet_width**2)
+    try:
+        exp_coeff = 2.0 * accel / raw.packet_width**2
+        spread_rate = HBAR / (2.0 * raw.mass * raw.packet_width**2)
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ConfigError(f"packet_width {raw.packet_width!r} and mass {raw.mass!r} put "
+                          f"the guidance coefficients out of float range") from err
     transit_time = raw.magnet_length / raw.beam_speed
     return DerivedCoefficients(
         accel=accel,

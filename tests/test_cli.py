@@ -392,6 +392,29 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, blocked):
         f"configuration error: cannot write {tmp_path / blocked}: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_an_open_output_names_it(tmp_path, capsys):
+    # every write to /dev/full fails with ENOSPC, an error that names no file
+    (tmp_path / f".report.json.{os.getpid()}.tmp").symlink_to("/dev/full")
+    assert main(["run-epr", "--pairs", "8", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {tmp_path / 'report.json'}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["run-epr", "dump-trajectories"])
+def test_packet_width_out_of_float_range_exits_2(tmp_path, capsys, command):
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[physics]\npacket_width = 1e300\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: packet_width 1e+300 ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,blocked", [
     (["run-epr", "--events", "--pairs", "8"], "events.csv"),
     (["table1", "--pairs", "40"], "table1.json"),
@@ -593,13 +616,15 @@ def test_dump_trajectories(tmp_path):
 
 def test_dumped_trajectories_do_not_depend_on_batch_mates(tmp_path):
     lines = {}
-    for n in (3, 6):
+    for n in (1, 3, 6):
         out = tmp_path / f"dump{n}"
         assert main(["dump-trajectories", "--mode", "local", "--seed", "4",
                      "--pairs", str(n), "--record-every", "1000", "--out", str(out)]) == 0
         lines[n] = (out / "trajectories.csv").read_text().splitlines()
-    assert lines[3] == [line for line in lines[6]
-                        if line.split(",")[0] in ("pair_id", "0", "1", "2")]
+    # a dump of fewer than four pairs prepares four and writes the first
+    for n in (1, 3):
+        assert lines[n] == [line for line in lines[6]
+                            if line.split(",")[0] in ("pair_id", *map(str, range(n)))]
 
     # each view's last sample is the exit of that view integrated alone
     t = prepare_pairs(ExperimentConfig(n_pairs=6, master_seed=4, mode=InformationMode.LOCAL))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -460,7 +461,7 @@ def test_switch_inside_a_transit_is_refused(mode, switch_at, message):
 
 
 @pytest.mark.parametrize("explicit", [False, True])
-def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explicit):
+def test_a_shorter_run_prepares_the_first_rows_of_a_longer_one(monkeypatch, explicit):
     lists = dict(
         switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
         explicit_a=((-math.inf, 0.0), (0.0205, math.pi / 2.0), (0.047, 0.0)),
@@ -478,13 +479,13 @@ def test_prepare_pairs_limit_draws_only_the_pairs_it_returns(monkeypatch, explic
 
     monkeypatch.setattr(experiment_mod, "pair_draws", counting)
     k = 7
-    limited = prepare_pairs(cfg, limit=k)
+    prefix = prepare_pairs(replace(cfg, n_pairs=k))
     assert drawn == list(range(k))
-    assert limited == PairTable(**{name: column[:k] for name, column in vars(full).items()
-                                   if column is not None})
+    assert prefix == PairTable(**{name: column[:k] for name, column in vars(full).items()
+                                  if column is not None})
     # local mode reads news of earlier launches, and pairs get lost
-    assert _split_views(limited).any()
-    assert not (limited.survived_a & limited.survived_b).all()
+    assert _split_views(prefix).any()
+    assert not (prefix.survived_a & prefix.survived_b).all()
 
 
 def test_pair_period_must_cover_the_transit_that_runs():
@@ -492,6 +493,55 @@ def test_pair_period_must_cover_the_transit_that_runs():
     # that covers only 3 ms would put the next launch's switch inside it
     with pytest.raises(ConfigError, match=r"pair_period must cover .* \(0\.0065002 s\)"):
         ExperimentConfig(n_pairs=8, dt=0.7e-6, pair_period=0.006500000000000001)
+
+
+@pytest.mark.parametrize("static", [False, True])
+@pytest.mark.parametrize("fields, pair", [
+    # exactly the default cover: the float launches drift below it
+    (dict(pair_period=0.006500000000000001), 6),
+    # the cover of a 0.7 us grid, 3.0002 ms of transit
+    (dict(dt=0.7e-6, pair_period=0.0065002), 5),
+    # 116 ulps above the default cover
+    (dict(pair_period=0.0065000000000001), 1233),
+])
+def test_pair_period_must_cover_every_launch_in_the_run_arithmetic(monkeypatch, static,
+                                                                   fields, pair):
+    policies = dict(switch_policy_a=SwitchPolicy.STATIC,
+                    switch_policy_b=SwitchPolicy.STATIC) if static else {}
+    cfg = ExperimentConfig(n_pairs=4000, master_seed=3, **fields, **policies)
+    monkeypatch.setattr(experiment_mod, "transport_views", mock.Mock(
+        side_effect=AssertionError("transported")))
+    message = (rf"^pair_period must cover flight plus magnet transit: pair {pair} leaves "
+               rf"its magnets at [0-9.]+ s, after launch {pair + 1} at [0-9.]+ s$")
+    for call in (prepare_pairs, run_epr):
+        with pytest.raises(ConfigError, match=message):
+            call(cfg)
+
+
+@pytest.mark.parametrize("static", [False, True])
+def test_pair_period_whose_launches_overflow_is_refused(static):
+    policies = dict(switch_policy_a=SwitchPolicy.STATIC,
+                    switch_policy_b=SwitchPolicy.STATIC) if static else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"pair_period .* overflows"):
+            ExperimentConfig(pair_period=1.0e308, **policies)
+
+
+def test_local_read_before_an_explicit_list_starts_names_the_list():
+    # side B reads A at launch + flight - news delay, 9 ms before pair 0's launch
+    cfg = ExperimentConfig(n_pairs=8, mode=InformationMode.LOCAL,
+                           switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+                           explicit_a=((0.0, 0.0), (0.05, math.pi / 2.0)))
+    with pytest.raises(ConfigError, match=r"^explicit_a must start at or before "
+                                          r"t = -0\.009000000000000001 s, where side B "
+                                          r"reads it for pair 0 in local mode$"):
+        prepare_pairs(cfg)
+    # the same list started in time is read as written
+    early = replace(cfg, explicit_a=((-0.01, 0.0), (0.05, math.pi / 2.0)))
+    assert prepare_pairs(early).a_seen_by_b[0] == 0.0
+    # in nonlocal mode every read falls at or after magnet entry
+    assert prepare_pairs(replace(cfg, mode=InformationMode.NONLOCAL)).setting_a[0] == 0.0
 
 
 def test_view_weights_are_keyed_by_angle_difference():

@@ -5,6 +5,7 @@ defaults and are asserted here to double precision.
 """
 
 import math
+import re
 
 import pytest
 
@@ -85,3 +86,10 @@ def test_derived_coefficients_validate():
         DerivedCoefficients(accel=math.inf, exp_coeff=1.0, spread_rate=1.0, transit_time=1.0)
     with pytest.raises(ConfigError):
         DerivedCoefficients(accel=1.0, exp_coeff=1.0, spread_rate=1.0, transit_time=0.0)
+
+
+@pytest.mark.parametrize("width", [1.0e300, 1.0e-200])
+def test_packet_width_out_of_float_range_is_a_config_error(width):
+    # packet_width**2 overflows, or underflows to zero and divides
+    with pytest.raises(ConfigError, match="^packet_width " + re.escape(repr(width))):
+        derive_coefficients(RawPhysicalInputs(packet_width=width))
