@@ -61,6 +61,7 @@ from .experiment import (
     run_epr,
     setting_timelines,
     survival,
+    table1_configs,
     table1_run,
     transport_views,
     write_events_csv,
@@ -424,6 +425,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     replicates = args.replicates
     if replicates < 1:
         raise ConfigError("--replicates must be at least 1")
+    # the rows' configs refuse a bad --pairs before the output directory exists
+    table1_configs(seed, args.pairs)
     out_dir = _ensure_out(args.out)
 
     all_rows = [

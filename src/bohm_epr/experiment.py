@@ -74,14 +74,12 @@ DEFAULT_SEED = 12345
 # pair id to be one 32-bit SeedSequence word, which caps it at 2**32.
 _MAX_PAIRS = 10**7
 
-# NumPy's SeedSequence (NEP 19) at its default pool of four 32-bit words,
-# and the multiplier of PCG64's 128-bit LCG (O'Neill 2014)
+# NumPy's SeedSequence (NEP 19) at its default pool of four 32-bit words
 _SS_POOL = 4
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 class Efficiency(enum.Enum):
@@ -471,22 +469,36 @@ def _seed_states(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)]
 
 
+class _SeedState:
+    """One stream's SeedSequence state, handed to ``np.random.PCG64`` as its seed.
+
+    ``pair_draws`` registers it as an ``ISeedSequence``; subclassing that
+    here would load ``numpy.random`` whenever this module is imported.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 reads the returned buffer raw, so serve only its own request
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a PCG64 seed state is 4 uint64 words, not {n_words} {dtype}")
+        return self.words
+
+
 def pair_draws(master_seed: int, n: int,
                packet_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The draws of pairs 0..n-1 from their streams: (a_rand, b_rand, z_l0, z_r0).
 
     Row i equals, bit for bit, two ``integers(0, 2)`` and then
     ``sample_initial(rng, packet_width)`` from ``rng = pair_stream(master_seed, i)``.
-    Only the seeding differs. It is vectorised over the pair ids:
-    ``_seed_states`` gives every stream's SeedSequence state, and PCG64's
-    ``srandom_r`` and first step then run in Python ints. A menu index is
-    one bit of the stream's first 64-bit output. ``integers(0, 2)`` is
-    Lemire's method on one 32-bit draw, and for a range of two it never
+    Only the SeedSequence hash differs: ``_seed_states`` computes it for a
+    block of ``_BATCH_CHUNK`` pair ids at once, and each stream's NumPy
+    ``PCG64`` takes its four state words through ``_SeedState``. A menu
+    index is one bit of the stream's first 64-bit output. ``integers(0, 2)``
+    is Lemire's method on one 32-bit draw, and for a range of two it never
     rejects and returns the draw's top bit. PCG64 serves an output's low
-    half before its high half, so a_rand is bit 31 and b_rand bit 63. The
-    normals come from NumPy's own sampler, on one generator set to each
-    stream's state after that first output. Pairs go in blocks of
-    ``_BATCH_CHUNK``, which bound the working memory.
+    half before its high half, so a_rand is bit 31 and b_rand bit 63.
     """
     check_seed(master_seed)
     if not 0 <= n <= _MAX_PAIRS:
@@ -495,32 +507,16 @@ def pair_draws(master_seed: int, n: int,
     # 32-bit words low first, then the role, then the pair id
     head = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
     head.append(_PAIR_STREAM)
-    bit_gen = np.random.PCG64(0)
-    normal = np.random.Generator(bit_gen).normal
-    stream = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     first = np.empty(n, dtype=np.uint64)
     z = np.empty((n, 2))
     for lo in range(0, n, _BATCH_CHUNK):
         ids = np.arange(lo, min(lo + _BATCH_CHUNK, n), dtype=np.uint32)
-        seeds = _seed_states([np.full_like(ids, word) for word in head] + [ids])
-        outputs = []
-        # column lists, not one list per pair, keep the block's Python objects few
-        for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*(w.tolist() for w in seeds)), lo):
-            # PCG64 reads words 0-1 as the initial state and words 2-3 as
-            # the stream selector, each high word first
-            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-            # srandom_r steps from 0 (giving inc), adds the initial state and
-            # steps again; the first output steps once more
-            x = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
-            # XSL-RR output of the new state
-            word = (x >> 64 ^ x) & _MASK64
-            rot = x >> 122
-            outputs.append((word >> rot | word << (64 - rot)) & _MASK64)
-            stream["state"], stream["inc"] = x, inc
-            bit_gen.state = state
-            z[i] = normal(0.0, packet_width, 2)
-        first[lo:lo + len(ids)] = outputs
+        states = np.stack(_seed_states([np.full_like(ids, word) for word in head] + [ids]), axis=1)
+        for i, words in enumerate(states, lo):
+            bit_gen = np.random.PCG64(_SeedState(words))
+            first[i] = bit_gen.random_raw()
+            z[i] = np.random.Generator(bit_gen).normal(0.0, packet_width, 2)
     a_rand = (first >> np.uint64(31) & np.uint64(1)).astype(np.int64)
     b_rand = (first >> np.uint64(63)).astype(np.int64)
     z_l0, z_r0 = z.T.copy()
@@ -920,31 +916,30 @@ class TableRow:
         return self.config.master_seed
 
 
-def table1_run(
-    master_seed: int = DEFAULT_SEED,
-    n_pairs: int = 4000,
-    replicate: int = 0,
-) -> list[TableRow]:
-    """The four-row summary table over both modes and both loss settings.
+def table1_configs(master_seed: int, n_pairs: int, replicate: int = 0) -> list[ExperimentConfig]:
+    """The configs of the four ``TABLE1_ROWS``, in order, for one replicate.
 
-    Each row runs with its own derived seed; the two inefficient rows
+    Each row has its own derived seed; the two inefficient rows
     deliberately share one, so their agreement (they integrate the same
     surviving pairs to the same outcomes) is visible in the output.
     Inefficient rows turn the kick threshold off so every switched magnet
     loses its particle.
     """
+    return [ExperimentConfig(n_pairs=n_pairs, mode=mode, efficiency=efficiency,
+                             normalization=normalization,
+                             kick_threshold=0.0 if efficiency is Efficiency.INEFFICIENT else 1.0e-3,
+                             master_seed=derived_seed(master_seed, replicate, seed_key))
+            for _, mode, efficiency, normalization, seed_key in TABLE1_ROWS]
+
+
+def table1_run(
+    master_seed: int = DEFAULT_SEED,
+    n_pairs: int = 4000,
+    replicate: int = 0,
+) -> list[TableRow]:
+    """The four-row summary table over both modes and both loss settings."""
     rows: list[TableRow] = []
-    for label, mode, efficiency, normalization, seed_key in TABLE1_ROWS:
-        row_seed = derived_seed(master_seed, replicate, seed_key)
-        inefficient = efficiency is Efficiency.INEFFICIENT
-        cfg = ExperimentConfig(
-            n_pairs=n_pairs,
-            mode=mode,
-            efficiency=efficiency,
-            normalization=normalization,
-            kick_threshold=0.0 if inefficient else 1.0e-3,
-            master_seed=row_seed,
-        )
+    for (label, *_), cfg in zip(TABLE1_ROWS, table1_configs(master_seed, n_pairs, replicate)):
         report = run_epr(cfg)
         if report.bell is None:
             raise EstimationError(f"row {label} left an empty setting cell")

@@ -327,13 +327,19 @@ def test_run_epr_exit_codes(tmp_path):
 
 
 def test_pair_count_above_the_ceiling_is_a_config_error(tmp_path, capsys):
-    # refused before any array is allocated, on every command that runs pairs
-    for argv in (["run-epr", "--pairs", "1000000000000"],
-                 ["table1", "--pairs", "1000000000000"],
-                 ["dump-trajectories", "--pairs", "1000000000000"]):
-        assert main([*argv, "--out", str(tmp_path)]) == 2
-        assert "n_pairs must be at most 10000000" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    # refused before any array is allocated or any output directory made,
+    # on every command that runs pairs
+    for k, (argv, message) in enumerate((
+            (["run-epr", "--pairs", "1000000000000"], "n_pairs must be at most 10000000"),
+            (["table1", "--pairs", "1000000000000"], "n_pairs must be at most 10000000"),
+            (["table1", "--pairs", "100000000"], "n_pairs must be at most 10000000"),
+            (["table1", "--pairs", "3"], "n_pairs must be an integer >= 4"),
+            (["dump-trajectories", "--pairs", "1000000000000"],
+             "n_pairs must be at most 10000000"))):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists(), argv
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path, capsys):

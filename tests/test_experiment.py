@@ -41,6 +41,7 @@ from bohm_epr.experiment import (
     pair_draws,
     pair_stream,
     prepare_pairs,
+    transport_views,
     view_systems,
 )
 from bohm_epr.integrate import sample_initial
@@ -204,6 +205,24 @@ def test_pair_draws_match_pair_streams(master_seed):
             assert all(np.array_equal(p, g[:k]) for p, g in zip(prefix, got))
 
 
+def test_pair_draws_never_runs_a_seed_sequence_per_pair(monkeypatch):
+    # the SeedSequence hash is vectorised over the pair ids; running it per
+    # pair in NumPy costs about 0.34 s at 20 000 pairs
+    want = _stream_draws(101, 5000, 1.0e-3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_draws built a SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    got = pair_draws(101, 5000, 1.0e-3)
+    assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+    # PCG64 reads the seed state raw, so the adapter serves only its request
+    seed_state = experiment_mod._SeedState(np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        seed_state.generate_state(8, np.uint32)
+    assert seed_state.generate_state(4, np.uint64) is seed_state.words
+
+
 def test_pair_draws_refuses_what_the_seeding_cannot_encode():
     with pytest.raises(ConfigError):
         pair_draws(2**64, 4, 1.0e-3)
@@ -263,22 +282,53 @@ def test_local_mode_diverges_from_nonlocal_under_slow_news():
     assert not np.array_equal(outcomes_l, outcomes_n)
 
 
+MENU_A = ExperimentConfig().angles_a
+MENU_B = ExperimentConfig().angles_b
+
+
+@st.composite
+def switch_policies(draw, n, latest=10.5e-3):
+    """Both sides' switch policies, as config fields for n pairs.
+
+    An explicit list holds the menu angles plus one off-menu angle and
+    switches inside the run: a switch after launch k lands 7 ms to
+    ``latest`` later. At the default bench that is clear of every transit
+    (3.5-6.5 ms after a launch) and of the news window of each (the
+    transit 12.5 ms earlier), which prepare_pairs refuses.
+    """
+    fields = {}
+    for side, menu in (("a", MENU_A), ("b", MENU_B)):
+        policy = draw(st.sampled_from(SwitchPolicy))
+        fields[f"switch_policy_{side}"] = policy
+        if policy is SwitchPolicy.EXPLICIT_LIST:
+            pool = (*menu, 0.3)
+            times = sorted({k * 1.0e-2 + phase for k, phase in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.floats(7.0e-3, latest)), max_size=4))})
+            entries = [(-math.inf, draw(st.sampled_from(pool)))]
+            for t in times:
+                entries.append((t, draw(st.sampled_from(
+                    [a for a in pool if a != entries[-1][1]]))))
+            fields[f"explicit_{side}"] = tuple(entries)
+    return fields
+
+
 @st.composite
 def fast_news_configs(draw):
-    """Per-pair-random or static policies, with news faster than the flight."""
+    """Configs of any switch policies, with news faster than the flight."""
     base = ExperimentConfig()
     signal_speed = draw(st.floats(base.separation / base.flight_time, exclude_min=True,
                                   allow_infinity=False))
     assume(base.separation / signal_speed < base.flight_time)
-    policies = st.sampled_from((SwitchPolicy.PER_PAIR_RANDOM, SwitchPolicy.STATIC))
+    n = draw(st.integers(4, 60))
     return ExperimentConfig(
-        n_pairs=draw(st.integers(4, 60)),
+        n_pairs=n,
         master_seed=draw(st.integers(0, 2**64 - 1)),
         efficiency=draw(st.sampled_from(Efficiency)),
         kick_threshold=0.0,
-        switch_policy_a=draw(policies),
-        switch_policy_b=draw(policies),
         signal_speed=signal_speed,
+        # fast news reads the partner up to 3.5 ms after a launch, so a
+        # switch lands before the next launch, not up to 0.5 ms after it
+        **draw(switch_policies(n, latest=9.5e-3)),
     )
 
 
@@ -575,6 +625,23 @@ def test_view_weights_are_keyed_by_angle_difference():
             assert (z_l0[system], z_r0[system]) == (table.z_l0[k], table.z_r0[k])
 
 
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+def test_mirrored_pairs_transport_to_mirrored_exits(master_seed):
+    # swapping the sides of every pair, views included, exchanges the two
+    # particles and the two views: dual views and retirement keep the mirror
+    cfg = ExperimentConfig(n_pairs=300, master_seed=master_seed, mode=InformationMode.LOCAL)
+    table = prepare_pairs(cfg)
+    assert _split_views(table).mean() > 0.5
+    mirror = replace(table, z_l0=table.z_r0, z_r0=table.z_l0,
+                     setting_a=table.setting_b, setting_b=table.setting_a,
+                     b_seen_by_a=table.a_seen_by_b, a_seen_by_b=table.b_seen_by_a)
+    z_l, z_r, a_sys, b_sys = transport_views(table, cfg)
+    m_l, m_r, m_a, m_b = transport_views(mirror, cfg)
+    for mine, theirs in ((m_a, b_sys), (m_b, a_sys)):
+        assert m_l[mine].tobytes() == z_r[theirs].tobytes()
+        assert m_r[mine].tobytes() == z_l[theirs].tobytes()
+
+
 def test_explicit_list_validation_happens_at_run_time():
     cfg = ExperimentConfig(
         n_pairs=4, master_seed=12,
@@ -681,10 +748,6 @@ def test_golden_report_and_events(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == events_sha
 
 
-MENU_A = ExperimentConfig().angles_a
-MENU_B = ExperimentConfig().angles_b
-
-
 @st.composite
 def small_configs(draw):
     n = draw(st.integers(4, 60))
@@ -696,23 +759,7 @@ def small_configs(draw):
         normalization=draw(st.sampled_from(Normalization)),
         kick_threshold=0.0,
     )
-    for side, menu in (("a", MENU_A), ("b", MENU_B)):
-        policy = draw(st.sampled_from(SwitchPolicy))
-        fields[f"switch_policy_{side}"] = policy
-        if policy is SwitchPolicy.EXPLICIT_LIST:
-            # menu angles plus one off-menu angle, switching inside the run;
-            # a switch after launch k lands 7 to 10.5 ms later, clear of every
-            # transit (3.5-6.5 ms after a launch) and of the news window of
-            # each (the transit 12.5 ms earlier), which prepare_pairs refuses
-            pool = (*menu, 0.3)
-            times = sorted({k * 1.0e-2 + phase for k, phase in draw(st.lists(
-                st.tuples(st.integers(0, n - 1), st.floats(7.0e-3, 10.5e-3)), max_size=4))})
-            entries = [(-math.inf, draw(st.sampled_from(pool)))]
-            for t in times:
-                entries.append((t, draw(st.sampled_from(
-                    [a for a in pool if a != entries[-1][1]]))))
-            fields[f"explicit_{side}"] = tuple(entries)
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**fields, **draw(switch_policies(n)))
 
 
 def _leaves(doc):
