@@ -395,7 +395,8 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
         report = dataclasses.replace(report, rates=count_rates(report, baseline))
     counters = {"off_menu_pairs": report.off_menu,
                 "lost_a": cfg.n_pairs - report.singles_a,
-                "lost_b": cfg.n_pairs - report.singles_b}
+                "lost_b": cfg.n_pairs - report.singles_b,
+                "systems": report.systems}
 
     files = ["report.json", "manifest.json"]
     with _run_files(out_dir) as stage:
@@ -482,7 +483,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         _write_json(stage("table1.json"), table_doc)
         write_manifest(stage("manifest.json"), None, ["table1.json", "manifest.json"],
                        "table1", {"seed_source": seed_source}, started,
-                       extra={"seed": seed, "rows": runs})
+                       extra={"seed": seed, "rows": runs, "counters": {
+                           "systems": sum(rows[0].systems for rows in all_rows)}})
     print(f"wrote table1.json, manifest.json in {out_dir}")
     return 0
 
@@ -551,7 +553,7 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
                           "dump fewer pairs or raise --record-every")
     out_dir = _ensure_out(args.out)
     table = prepare_pairs(cfg)
-    z_l, z_r, a_sys, b_sys = transport_views(table, cfg, args.record_every)
+    z_l, z_r, [(a_sys, b_sys)] = transport_views([table], [cfg], args.record_every)
     steps = icfg.recorded_steps()
     with _run_files(out_dir) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:

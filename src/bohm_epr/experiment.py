@@ -15,8 +15,8 @@ pair i:
    guidance law. Each observer evaluates that law with the setting pair
    she can know: her own current angle always, the partner angle either
    current (nonlocal mode) or as old as the news delay
-   separation / signal_speed (local mode). When the two attributions
-   differ the pair is integrated once per view; each observer reads her
+   separation / signal_speed (local mode). When they give different
+   weights the pair is integrated once per view; each observer reads her
    own exit sign from her own view. Both views are read once, at magnet
    entry, so a switch inside the transit, or news of one arriving there,
    is refused as a ConfigError rather than ignored.
@@ -349,10 +349,12 @@ class ExperimentReport:
     is formed from the cells on first use and is None while a cell is
     empty. ``off_menu`` counts the pairs with a setting outside its
     side's menu (possible only with an explicit list); they fall out of
-    every cell. ``rates`` holds the count rates against a quiescent
-    baseline, for a caller that attaches them:
-    ``replace(report, rates=count_rates(report, baseline))`` (see
-    ``count_rates`` for the two forms of baseline).
+    every cell. ``systems`` counts the distinct systems transported and
+    ``runtime_s`` is the wall time, both of the whole ``run_batch`` call
+    that made the report (``run_epr`` is a call of one config). ``rates``
+    holds the count rates against a quiescent baseline, for a caller that
+    attaches them: ``replace(report, rates=count_rates(report, baseline))``
+    (see ``count_rates`` for the two forms of baseline).
     """
 
     config: ExperimentConfig
@@ -364,6 +366,7 @@ class ExperimentReport:
     singles_b: int
     coincidences: int
     off_menu: int
+    systems: int
     runtime_s: float
     rates: CountRates | None = None
 
@@ -698,103 +701,156 @@ def prepare_pairs(cfg: ExperimentConfig) -> PairTable:
     )
 
 
-def view_systems(
-    table: PairTable,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+def view_systems(table: PairTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One transport system per distinct view of each pair.
 
-    A pair whose two observers attribute the same settings gets one
+    A pair whose two views give the same weights, bit for bit, gets one
     system; otherwise its A view and then its B view get one each, in
-    pair order. Returns the systems' (z_l0, z_r0, s2, c2) arrays and the
-    system of each pair's A view and of its B view.
+    pair order. Returns the systems' (z_l0, z_r0, s2, c2) as a (4, m)
+    view of one system per row, and the system of each pair's A view
+    and of its B view.
     """
-    dual = (table.a_seen_by_b != table.setting_a) | (table.b_seen_by_a != table.setting_b)
-    count = 1 + dual
-    a_sys = np.cumsum(count) - count
-    b_sys = a_sys + count - 1
-    diff = np.empty(int(count.sum()))
-    diff[a_sys] = table.setting_a - table.b_seen_by_a
-    diff[b_sys] = table.a_seen_by_b - table.setting_b
+    n = len(table)
+    diff = np.concatenate((table.setting_a - table.b_seen_by_a,
+                           table.a_seen_by_b - table.setting_b))
     # the weights depend on the angle difference alone, and weights() makes
     # this same subtraction; math.sin runs once per distinct difference
     # because np.sin may differ from it in the last bit
     distinct, inverse = np.unique(diff, return_inverse=True)
-    s2, c2 = np.array([SettingPair(d, 0.0).weights()
-                       for d in distinct.tolist()]).reshape(-1, 2).T
-    systems = (np.repeat(table.z_l0, count), np.repeat(table.z_r0, count),
-               s2[inverse], c2[inverse])
-    return systems, a_sys, b_sys
+    weights = np.array([SettingPair(d, 0.0).weights()
+                        for d in distinct.tolist()]).reshape(-1, 2)
+    # differences whose weights agree bit for bit share a class
+    cls = np.unique(weights.view(np.uint64), axis=0, return_inverse=True)[1].ravel()
+    a_i, b_i = inverse[:n], inverse[n:]
+    count = 1 + (cls[a_i] != cls[b_i])
+    a_sys = np.cumsum(count) - count
+    b_sys = a_sys + count - 1
+    rows = np.empty((int(count.sum()), 4))
+    rows[b_sys, :2] = rows[a_sys, :2] = np.column_stack((table.z_l0, table.z_r0))
+    rows[b_sys, 2:] = weights[b_i]
+    rows[a_sys, 2:] = weights[a_i]
+    return rows.T, a_sys, b_sys
 
 
 def transport_views(
-    table: PairTable,
-    cfg: ExperimentConfig,
+    tables: list[PairTable],
+    configs: list[ExperimentConfig],
     record_every: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transport every view of every pair; returns (z_l, z_r, a_sys, b_sys).
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Transport each distinct view system of the tables once; returns (z_l, z_r, views).
 
-    The systems of ``view_systems`` go through the transport in chunks
-    of ``_BATCH_CHUNK``, which only bound the working memory: systems
-    are independent, so the chunk size changes no result. With
+    Table k comes from ``configs[k]``; the configs must share physics and
+    dt. The ``view_systems`` of all tables are kept once per bit pattern
+    of (z_l0, z_r0, s2, c2), in order of first appearance, and go through
+    the transport in chunks of ``_BATCH_CHUNK``. Systems are independent,
+    so neither chunks nor batch-mates change a result. ``views[k]`` holds
+    the system of each pair's A and B view in table k. With
     ``record_every`` > 0, ``integrate_batch`` runs the full transit and
-    z_l, z_r are (recorded step, system) arrays; otherwise z_l, z_r are
-    the exits of ``integrate_retiring``. A divergence is raised again
-    with its system's index in the whole run, named by pair, view and mode.
+    z_l, z_r are (recorded step, system) arrays; otherwise they are the
+    exits of ``integrate_retiring``. A divergence is raised again named
+    by config (in a batch of several), pair, view and mode, with its
+    index in its table's ``view_systems``.
     """
-    coeff = derive_coefficients(cfg.physics)
-    icfg = cfg.transport_grid(record_every)
+    head = configs[0]
+    for k, cfg in enumerate(configs):
+        if cfg.physics != head.physics or cfg.dt != head.dt:
+            raise ConfigError(f"configs in one transport must share physics and dt; "
+                              f"config {k} differs from config 0")
+    coeff = derive_coefficients(head.physics)
+    icfg = head.transport_grid(record_every)
     # retired systems have no later steps to record
     integrate = integrate_batch if record_every else integrate_retiring
-    systems, a_sys, b_sys = view_systems(table)
-    m = len(systems[0])
+    views = [view_systems(table) for table in tables]
+    offsets = np.cumsum([0] + [systems.shape[1] for systems, _, _ in views])
+    rows = np.concatenate([systems.T for systems, _, _ in views])
+    views = [(a_sys, b_sys) for _, a_sys, b_sys in views]
+    keep, distinct_of = _first_appearances(rows)
+    rows = rows[keep]
+    m = len(rows)
     shape = (len(icfg.recorded_steps()), m) if record_every else m
     z_l, z_r = np.empty(shape), np.empty(shape)
     for lo in range(0, m, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, m)
         try:
-            z_l[..., lo:hi], z_r[..., lo:hi] = integrate(
-                *(a[lo:hi] for a in systems), coeff, icfg)
+            z_l[..., lo:hi], z_r[..., lo:hi] = integrate(*rows[lo:hi].T, coeff, icfg)
         except IntegrationDiverged as err:
-            index = lo + (err.system_index or 0)
+            index = int(keep[lo + (err.system_index or 0)])
+            k = int(np.searchsorted(offsets, index, side="right")) - 1
+            a_sys, b_sys = views[k]
+            index -= int(offsets[k])
             pair = int(np.searchsorted(a_sys, index, side="right")) - 1
             view = ("A and B" if a_sys[pair] == b_sys[pair]
                     else "A" if index == a_sys[pair] else "B")
+            where = f"config {k}, " if len(configs) > 1 else ""
             raise IntegrationDiverged(
                 step=err.step, system_index=index,
-                detail=f"pair {pair}, view {view}, {cfg.mode.value} mode") from err
-    return z_l, z_r, a_sys, b_sys
+                detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
+    return z_l, z_r, [(distinct_of[lo + a_sys], distinct_of[lo + b_sys])
+                      for lo, (a_sys, b_sys) in zip(offsets.tolist(), views)]
 
 
-def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute a full run and aggregate its statistics."""
-    start = time.perf_counter()
-    table = prepare_pairs(cfg)
-    z_l, z_r, a_sys, b_sys = transport_views(table, cfg)
-    outcome_a, outcome_b = sign_outcome(z_l[a_sys]), sign_outcome(z_r[b_sys])
-    table = replace(table, outcome_a=outcome_a, outcome_b=outcome_b)
+def _first_appearances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row's first index, in order, and every row's place among them.
 
+    A row's bit pattern is its key, so -0.0 and 0.0 differ. A stable
+    sort of the keys puts each distinct row's first appearance first.
+    ``np.unique`` would hold three copies of the rows at once, which
+    raised the peak RSS of a 20 000-pair run by about 2 MiB.
+    """
+    bits = rows.view(np.uint64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    del ordered
+    keep = np.sort(order[starts])
+    place = np.empty_like(order)
+    place[order] = np.searchsorted(keep, order[starts])[np.cumsum(starts) - 1]
+    return keep, place
+
+
+def _tally(table: PairTable) -> dict:
+    """A transported table's cells, singles, coincidences and off-menu count."""
     coincident = table.survived_a & table.survived_b
     on_menu = (table.a_index >= 0) & (table.b_index >= 0)
     cell = 2 * table.a_index + table.b_index
     counted = on_menu & coincident
-    cell_launches = tuple(np.bincount(cell[on_menu], minlength=4).tolist())
-    cell_counts = tuple(np.bincount(cell[counted], minlength=4).tolist())
     # sums of +-1 products are exact in float64
-    cell_sums = tuple(np.bincount(cell[counted], weights=(outcome_a * outcome_b)[counted],
-                                  minlength=4).astype(int).tolist())
-
-    return ExperimentReport(
-        config=cfg,
-        records=table,
-        cell_counts=cell_counts,
-        cell_sums=cell_sums,
-        cell_launches=cell_launches,
+    products = (table.outcome_a * table.outcome_b)[counted]
+    return dict(
+        cell_counts=tuple(np.bincount(cell[counted], minlength=4).tolist()),
+        cell_sums=tuple(np.bincount(cell[counted], weights=products,
+                                    minlength=4).astype(int).tolist()),
+        cell_launches=tuple(np.bincount(cell[on_menu], minlength=4).tolist()),
         singles_a=int(table.survived_a.sum()),
         singles_b=int(table.survived_b.sum()),
         coincidences=int(coincident.sum()),
         off_menu=len(table) - int(on_menu.sum()),
-        runtime_s=time.perf_counter() - start,
     )
+
+
+def run_batch(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
+    """Run several configs through one ``transport_views`` of their distinct systems.
+
+    Report k equals ``run_epr(configs[k])`` alone in every number, since
+    systems are independent; its ``systems`` and ``runtime_s`` belong to
+    the whole call.
+    """
+    start = time.perf_counter()
+    tables = [prepare_pairs(cfg) for cfg in configs]
+    z_l, z_r, views = transport_views(tables, configs)
+    tables = [replace(table, outcome_a=sign_outcome(z_l[a_sys]),
+                      outcome_b=sign_outcome(z_r[b_sys]))
+              for table, (a_sys, b_sys) in zip(tables, views)]
+    tallies = [_tally(table) for table in tables]
+    runtime_s = time.perf_counter() - start
+    return [ExperimentReport(config=cfg, records=table, **tally, systems=len(z_l),
+                             runtime_s=runtime_s)
+            for cfg, table, tally in zip(configs, tables, tallies)]
+
+
+def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
+    """Execute a full run and aggregate its statistics: ``run_batch`` of one config."""
+    return run_batch([cfg])[0]
 
 
 def count_rates(switched: ExperimentReport | Survival,
@@ -877,16 +933,23 @@ EVENT_HEADER = ("pair_id,setting_A,setting_B,effective_B_seen_by_A,"
                 "effective_A_seen_by_B,outcome_A,outcome_B,survived_A,survived_B")
 
 
+def _angle_text(angles: np.ndarray) -> list[str]:
+    """The repr of each angle, formed once per distinct bit pattern (so -0.0 keeps its own)."""
+    bits, inverse = np.unique(angles.view(np.uint64), return_inverse=True)
+    return np.array([repr(a) for a in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse].tolist()
+
+
 def write_events_csv(report: ExperimentReport, path) -> None:
     """One line per launched pair, in launch order."""
     t = report.records
-    columns = zip(t.pair_id.tolist(), t.setting_a.tolist(), t.setting_b.tolist(),
-                  t.b_seen_by_a.tolist(), t.a_seen_by_b.tolist(),
+    columns = zip(t.pair_id.tolist(),
+                  *map(_angle_text, (t.setting_a, t.setting_b, t.b_seen_by_a, t.a_seen_by_b)),
                   t.outcome_a.tolist(), t.outcome_b.tolist(),
                   t.survived_a.astype(int).tolist(), t.survived_b.astype(int).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(EVENT_HEADER + "\n")
-        fh.writelines(f"{i},{a!r},{b!r},{b_seen!r},{a_seen!r},{o_a},{o_b},{s_a},{s_b}\n"
+        fh.writelines(f"{i},{a},{b},{b_seen},{a_seen},{o_a},{o_b},{s_a},{s_b}\n"
                       for i, a, b, b_seen, a_seen, o_a, o_b, s_a, s_b in columns)
 
 
@@ -904,12 +967,16 @@ TABLE1_ROWS = (
 
 @dataclass(frozen=True)
 class TableRow:
-    """One summary-table row: its label, estimate and the exact config it ran."""
+    """One summary-table row: its label, estimate and the exact config it ran.
+
+    ``runtime_s`` and ``systems`` are those of its replicate's ``run_batch``.
+    """
 
     label: str
     bell: BellEstimate
     runtime_s: float
     config: ExperimentConfig
+    systems: int
 
     @property
     def seed(self) -> int:
@@ -937,12 +1004,12 @@ def table1_run(
     n_pairs: int = 4000,
     replicate: int = 0,
 ) -> list[TableRow]:
-    """The four-row summary table over both modes and both loss settings."""
+    """The four-row summary table over both modes and both loss settings, in one run_batch."""
     rows: list[TableRow] = []
-    for (label, *_), cfg in zip(TABLE1_ROWS, table1_configs(master_seed, n_pairs, replicate)):
-        report = run_epr(cfg)
+    reports = run_batch(table1_configs(master_seed, n_pairs, replicate))
+    for (label, *_), report in zip(TABLE1_ROWS, reports):
         if report.bell is None:
             raise EstimationError(f"row {label} left an empty setting cell")
         rows.append(TableRow(label=label, bell=report.bell, runtime_s=report.runtime_s,
-                             config=cfg))
+                             config=report.config, systems=report.systems))
     return rows

@@ -241,7 +241,8 @@ def test_run_epr_writes_report_events_manifest(tmp_path):
     assert manifest["files"] == names
     assert manifest["provenance"]["flag_overrides"]["n_pairs"] == 8
     assert manifest["config_sha256"] is not None
-    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 0, "lost_b": 0}
+    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 0, "lost_b": 0,
+                                    "systems": 8}
 
     events = (out / "events.csv").read_text().splitlines()
     assert len(events) == 9
@@ -284,7 +285,8 @@ def test_run_epr_rates_are_written_when_s_is_undefined(tmp_path):
     assert (report["Q1"], report["Q1p"], report["C2"], report["C2p"]) == (1.0, 0.755, 1.0, 0.51)
     # Q1p_a = C2p = 0.51 keeps 204 of side A's 400 particles; parked B loses none
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 196, "lost_b": 0}
+    assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 196, "lost_b": 0,
+                                    "systems": 400}
 
 
 def test_run_epr_rates_run_one_experiment(tmp_path, monkeypatch):
@@ -375,7 +377,8 @@ def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
     out = tmp_path / "run"
     assert main(["run-epr", "--config", str(ini), "--pairs", "200", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counters"] == {"off_menu_pairs": 60, "lost_a": 0, "lost_b": 0}
+    assert manifest["counters"] == {"off_menu_pairs": 60, "lost_a": 0, "lost_b": 0,
+                                    "systems": 260}
     assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
 
 
@@ -552,6 +555,8 @@ def test_table1_manifest_records_each_row(tmp_path, monkeypatch):
                              "config_sha256": config_digest(cfg)})
     assert manifest["rows"] == expected
     assert len({row["config_sha256"] for row in expected}) == 8
+    # each replicate transports its rows' distinct systems once
+    assert manifest["counters"] == {"systems": 1517}
     table = json.loads((out / "table1.json").read_text())
     assert [row["seed"] for row in table["rows"]] == [r["seed"] for r in expected[:4]]
 

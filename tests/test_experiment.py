@@ -19,6 +19,7 @@ from bohm_epr import (
     EstimationError,
     ExperimentConfig,
     InformationMode,
+    IntegrationDiverged,
     Normalization,
     SwitchPolicy,
     chsh,
@@ -41,11 +42,13 @@ from bohm_epr.experiment import (
     pair_draws,
     pair_stream,
     prepare_pairs,
+    run_batch,
+    table1_configs,
     transport_views,
     view_systems,
 )
-from bohm_epr.integrate import sample_initial
-from bohm_epr.physconst import LIGHT_SPEED
+from bohm_epr.integrate import integrate_retiring, sample_initial, sign_outcome
+from bohm_epr.physconst import LIGHT_SPEED, SILVER, derive_coefficients
 from bohm_epr.velocity import SettingPair
 
 KICK_1E4 = 3.335555925431646e-07
@@ -598,7 +601,8 @@ def test_view_weights_are_keyed_by_angle_difference():
     q = math.pi / 4.0
     # (A view, B view) of each pair: views that share an angle difference
     # but not their angles, zero differences of both signs, a pair whose
-    # views agree, and differences in an order unlike the pairs'
+    # views agree, and differences in an order unlike the pairs'; only
+    # pair 6's views give different weights
     views = [((0.0, q), (2.0 * q, 3.0 * q)),
              ((2.0 * q, 3.0 * q), (0.0, q)),
              ((0.0, 0.0), (-0.0, 0.0)),
@@ -615,9 +619,9 @@ def test_view_weights_are_keyed_by_angle_difference():
                       b_seen_by_a=b_a, a_seen_by_b=a_b, switched_a=flags, switched_b=flags,
                       survived_a=~flags, survived_b=~flags)
     (z_l0, z_r0, s2, c2), a_sys, b_sys = view_systems(table)
-    # pair 2 alone has one system: -0.0 == 0.0, so its views agree
-    assert len(s2) == 2 * n - 2
-    assert a_sys[3] == b_sys[3] - 1 and a_sys[4] == b_sys[4]
+    # a pair gets two systems only when its views' weights differ
+    assert len(s2) == n + 1
+    assert (b_sys - a_sys).tolist() == [0, 0, 0, 0, 0, 0, 1]
     for k, view_angles in enumerate(views):
         for system, (a, b) in zip((a_sys[k], b_sys[k]), view_angles):
             assert np.array([s2[system], c2[system]]).tobytes() == \
@@ -635,8 +639,8 @@ def test_mirrored_pairs_transport_to_mirrored_exits(master_seed):
     mirror = replace(table, z_l0=table.z_r0, z_r0=table.z_l0,
                      setting_a=table.setting_b, setting_b=table.setting_a,
                      b_seen_by_a=table.a_seen_by_b, a_seen_by_b=table.b_seen_by_a)
-    z_l, z_r, a_sys, b_sys = transport_views(table, cfg)
-    m_l, m_r, m_a, m_b = transport_views(mirror, cfg)
+    z_l, z_r, [(a_sys, b_sys)] = transport_views([table], [cfg])
+    m_l, m_r, [(m_a, m_b)] = transport_views([mirror], [cfg])
     for mine, theirs in ((m_a, b_sys), (m_b, a_sys)):
         assert m_l[mine].tobytes() == z_r[theirs].tobytes()
         assert m_r[mine].tobytes() == z_l[theirs].tobytes()
@@ -688,6 +692,12 @@ def test_events_csv_format(small_nonlocal_report, tmp_path):
     assert float(first[1]) in small_nonlocal_report.config.angles_a
     assert int(first[5]) in (-1, 1) and int(first[6]) in (-1, 1)
     assert first[7] in ("0", "1") and first[8] in ("0", "1")
+    # angles are formatted once per bit pattern, so -0.0 keeps its sign
+    t = small_nonlocal_report.records
+    signed = np.where(np.arange(len(t)) % 2 == 0, 0.0, -0.0)
+    write_events_csv(replace(small_nonlocal_report, records=replace(t, setting_a=signed)), path)
+    angles = [line.split(",")[1] for line in path.read_text().splitlines()[1:4]]
+    assert angles == ["0.0", "-0.0", "0.0"]
 
 
 def test_table1_structure():
@@ -801,6 +811,95 @@ def test_aggregation_matches_a_recount_at_every_chunk_size(cfg):
         assert all(type(leaf) in (int, float, str, type(None)) for leaf in _leaves(doc))
         docs.append(doc)
     assert docs[0] == docs[1] == docs[2]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs().map(lambda cfg: replace(cfg, mode=InformationMode.LOCAL)))
+def test_a_pair_has_two_systems_iff_its_views_weigh_differently(cfg):
+    table = prepare_pairs(cfg)
+    _, a_sys, b_sys = view_systems(table)
+    views = [[SettingPair(a, b).weights() for a, b in zip(a_col.tolist(), b_col.tolist())]
+             for a_col, b_col in ((table.setting_a, table.b_seen_by_a),
+                                  (table.a_seen_by_b, table.setting_b))]
+    a_w, b_w = (np.array(w).reshape(-1, 2) for w in views)
+    differ = [a.tobytes() != b.tobytes() for a, b in zip(a_w, b_w)]
+    assert (b_sys - a_sys).tolist() == [int(d) for d in differ]
+    # the oracle transports every view as a system of its own
+    z_l, z_r = integrate_retiring(np.tile(table.z_l0, 2), np.tile(table.z_r0, 2),
+                                  *np.concatenate((a_w, b_w)).T,
+                                  derive_coefficients(cfg.physics), cfg.transport_grid())
+    n = len(table)
+    report = run_epr(cfg)
+    assert report.records.outcome_a.tobytes() == sign_outcome(z_l[:n]).tobytes()
+    assert report.records.outcome_b.tobytes() == sign_outcome(z_r[n:]).tobytes()
+
+
+def _run_bytes(report, path):
+    doc = report_json_dict(report)
+    doc.pop("runtime_s")
+    write_events_csv(report, path)
+    return json.dumps(doc, indent=2), path.read_bytes()
+
+
+MIXED_BATCH = [
+    ExperimentConfig(n_pairs=90, master_seed=5, mode=InformationMode.LOCAL),
+    ExperimentConfig(n_pairs=60, master_seed=6),
+    ExperimentConfig(n_pairs=90, master_seed=5, mode=InformationMode.LOCAL,
+                     efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
+                     normalization=Normalization.COINCIDENCES),
+    ExperimentConfig(n_pairs=40, master_seed=7, mode=InformationMode.LOCAL,
+                     switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+                     explicit_a=((-math.inf, 0.0), (0.107, 0.3), (0.208, math.pi / 2.0))),
+    ExperimentConfig(n_pairs=60, master_seed=6),
+]
+
+
+@pytest.mark.parametrize("configs", [
+    *(table1_configs(seed, 150) for seed in (0, 101, 614)),
+    MIXED_BATCH,
+], ids=["table1-0", "table1-101", "table1-614", "mixed"])
+def test_batched_runs_equal_single_runs(configs, tmp_path):
+    batch = run_batch(configs)
+    alone = [run_epr(cfg) for cfg in configs]
+    for k, (together, single) in enumerate(zip(batch, alone)):
+        assert together.config == configs[k]
+        assert _run_bytes(together, tmp_path / "batch.csv") == \
+            _run_bytes(single, tmp_path / "alone.csv")
+    # one transport for the batch, of each distinct system once
+    assert len({report.systems for report in batch}) == 1
+    distinct = set()
+    for cfg in configs:
+        systems, _, _ = view_systems(prepare_pairs(cfg))
+        distinct.update(row.tobytes() for row in np.stack(systems, axis=1))
+    assert batch[0].systems == len(distinct) < sum(report.systems for report in alone)
+
+
+def test_divergence_in_a_batch_names_the_config(monkeypatch):
+    # config 0 is nonlocal, so its 8 pairs have 8 systems; config 1's
+    # system 4 is pair 3's B view (see the chunked divergence test of
+    # test_retirement.py) and the 13th distinct system of the batch
+    configs = [ExperimentConfig(n_pairs=8, master_seed=1),
+               ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)]
+    assert len(view_systems(prepare_pairs(configs[0]))[0][0]) == 8
+
+    def failing(*args, **kwargs):
+        raise IntegrationDiverged(step=3, system_index=12)
+
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing)
+    with pytest.raises(IntegrationDiverged) as err:
+        run_batch(configs)
+    assert str(err.value) == ("non-finite state at step 3 (system 4): "
+                              "config 1, pair 3, view B, local mode")
+
+
+@pytest.mark.parametrize("change", [dict(dt=0.5e-6),
+                                    dict(physics=replace(SILVER, beam_speed=2.0e4))])
+def test_a_batch_refuses_mixed_physics_or_dt(change):
+    cfg = ExperimentConfig(n_pairs=8, master_seed=1)
+    with pytest.raises(ConfigError, match=r"^configs in one transport must share physics "
+                                          r"and dt; config 1 differs from config 0$"):
+        run_batch([cfg, replace(cfg, **change)])
 
 
 KICK = kick_ratio(ExperimentConfig().physics.beam_speed, ExperimentConfig().physics.light_speed)

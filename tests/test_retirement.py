@@ -146,10 +146,11 @@ def test_run_epr_divergence_names_the_pair():
 
 def test_run_epr_divergence_in_a_later_chunk_names_the_pair(monkeypatch):
     cfg = ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)
-    # at this seed pair 0 has one system and pairs 1 and 2 two each, so in
-    # chunks of three the second chunk's system 1 is system 4, pair 2's B view
+    # at this seed pairs 0 to 2 have one system each and pair 3 two, whose
+    # views differ in weights, so in chunks of three the second chunk's
+    # system 1 is system 4, pair 3's B view
     _, a_sys, b_sys = view_systems(prepare_pairs(cfg))
-    assert (a_sys[:3].tolist(), b_sys[:3].tolist()) == ([0, 1, 3], [0, 2, 4])
+    assert (a_sys[:4].tolist(), b_sys[:4].tolist()) == ([0, 1, 2, 3], [0, 1, 2, 4])
     monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 3)
     real = experiment_mod.integrate_retiring
     chunks = []
@@ -165,7 +166,7 @@ def test_run_epr_divergence_in_a_later_chunk_names_the_pair(monkeypatch):
         run_epr(cfg)
     assert chunks == [3, 3]
     assert (err.value.step, err.value.system_index) == (7, 4)
-    assert str(err.value) == "non-finite state at step 7 (system 4): pair 2, view B, local mode"
+    assert str(err.value) == "non-finite state at step 7 (system 4): pair 3, view B, local mode"
 
 
 @pytest.mark.parametrize("s2,c2", [
