@@ -553,13 +553,13 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
                           "dump fewer pairs or raise --record-every")
     out_dir = _ensure_out(args.out)
     table = prepare_pairs(cfg)
-    z_l, z_r, [(a_sys, b_sys)] = transport_views([table], [cfg], args.record_every)
+    z_l, z_r, [views] = transport_views([table], [cfg], args.record_every)
     steps = icfg.recorded_steps()
     with _run_files(out_dir) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
             fh.write("pair_id,view,step,t,z_L,z_R\n")
-            for pair_id, a, b in zip(range(n_dump), a_sys.tolist(), b_sys.tolist()):
-                for view, s in (("A", a), ("B", b)):
+            for pair_id, systems in enumerate(views[:n_dump].tolist()):
+                for view, s in zip("AB", systems):
                     for k, step in enumerate(steps):
                         fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
                                  f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")

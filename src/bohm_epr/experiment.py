@@ -701,55 +701,43 @@ def prepare_pairs(cfg: ExperimentConfig) -> PairTable:
     )
 
 
-def view_systems(table: PairTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One transport system per distinct view of each pair.
+def view_systems(table: PairTable) -> np.ndarray:
+    """The (z_l0, z_r0, s2, c2) of every view of a table of n pairs, as a (2n, 4) array.
 
-    A pair whose two views give the same weights, bit for bit, gets one
-    system; otherwise its A view and then its B view get one each, in
-    pair order. Returns the systems' (z_l0, z_r0, s2, c2) as a (4, m)
-    view of one system per row, and the system of each pair's A view
-    and of its B view.
+    Row 2k is pair k's A view and row 2k + 1 its B view; a view's
+    trajectory depends on these four numbers alone.
     """
-    n = len(table)
-    diff = np.concatenate((table.setting_a - table.b_seen_by_a,
-                           table.a_seen_by_b - table.setting_b))
+    diff = np.column_stack((table.setting_a - table.b_seen_by_a,
+                            table.a_seen_by_b - table.setting_b)).ravel()
     # the weights depend on the angle difference alone, and weights() makes
     # this same subtraction; math.sin runs once per distinct difference
     # because np.sin may differ from it in the last bit
     distinct, inverse = np.unique(diff, return_inverse=True)
     weights = np.array([SettingPair(d, 0.0).weights()
                         for d in distinct.tolist()]).reshape(-1, 2)
-    # differences whose weights agree bit for bit share a class
-    cls = np.unique(weights.view(np.uint64), axis=0, return_inverse=True)[1].ravel()
-    a_i, b_i = inverse[:n], inverse[n:]
-    count = 1 + (cls[a_i] != cls[b_i])
-    a_sys = np.cumsum(count) - count
-    b_sys = a_sys + count - 1
-    rows = np.empty((int(count.sum()), 4))
-    rows[b_sys, :2] = rows[a_sys, :2] = np.column_stack((table.z_l0, table.z_r0))
-    rows[b_sys, 2:] = weights[b_i]
-    rows[a_sys, 2:] = weights[a_i]
-    return rows.T, a_sys, b_sys
+    return np.column_stack((np.repeat(table.z_l0, 2), np.repeat(table.z_r0, 2),
+                            weights[inverse]))
 
 
 def transport_views(
     tables: list[PairTable],
     configs: list[ExperimentConfig],
     record_every: int = 0,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Transport each distinct view system of the tables once; returns (z_l, z_r, views).
 
     Table k comes from ``configs[k]``; the configs must share physics and
-    dt. The ``view_systems`` of all tables are kept once per bit pattern
-    of (z_l0, z_r0, s2, c2), in order of first appearance, and go through
-    the transport in chunks of ``_BATCH_CHUNK``. Systems are independent,
-    so neither chunks nor batch-mates change a result. ``views[k]`` holds
-    the system of each pair's A and B view in table k. With
+    dt. The ``view_systems`` rows of all tables are kept once per bit
+    pattern, in order of first appearance, and go through the transport
+    in chunks of ``_BATCH_CHUNK``. Systems are independent, so neither
+    chunks nor batch-mates change a result. ``views[k]`` is an (n, 2)
+    array: the system of each pair's A and B view in table k. With
     ``record_every`` > 0, ``integrate_batch`` runs the full transit and
     z_l, z_r are (recorded step, system) arrays; otherwise they are the
     exits of ``integrate_retiring``. A divergence is raised again named
-    by config (in a batch of several), pair, view and mode, with its
-    index in its table's ``view_systems``.
+    by config (in a batch of several), pair, view and mode; its
+    ``system_index`` is the failed system's index among the call's
+    distinct systems, the column of z_l and z_r it would have filled.
     """
     head = configs[0]
     for k, cfg in enumerate(configs):
@@ -760,11 +748,9 @@ def transport_views(
     icfg = head.transport_grid(record_every)
     # retired systems have no later steps to record
     integrate = integrate_batch if record_every else integrate_retiring
-    views = [view_systems(table) for table in tables]
-    offsets = np.cumsum([0] + [systems.shape[1] for systems, _, _ in views])
-    rows = np.concatenate([systems.T for systems, _, _ in views])
-    views = [(a_sys, b_sys) for _, a_sys, b_sys in views]
-    keep, distinct_of = _first_appearances(rows)
+    offsets = np.cumsum([0] + [2 * len(table) for table in tables])
+    rows = np.concatenate([view_systems(table) for table in tables])
+    keep, place = _first_appearances(rows)
     rows = rows[keep]
     m = len(rows)
     shape = (len(icfg.recorded_steps()), m) if record_every else m
@@ -774,19 +760,17 @@ def transport_views(
         try:
             z_l[..., lo:hi], z_r[..., lo:hi] = integrate(*rows[lo:hi].T, coeff, icfg)
         except IntegrationDiverged as err:
-            index = int(keep[lo + (err.system_index or 0)])
-            k = int(np.searchsorted(offsets, index, side="right")) - 1
-            a_sys, b_sys = views[k]
-            index -= int(offsets[k])
-            pair = int(np.searchsorted(a_sys, index, side="right")) - 1
-            view = ("A and B" if a_sys[pair] == b_sys[pair]
-                    else "A" if index == a_sys[pair] else "B")
+            index = lo + (err.system_index or 0)
+            row = int(keep[index])
+            k = int(np.searchsorted(offsets, row, side="right")) - 1
+            pair, side = divmod(row - int(offsets[k]), 2)
+            # the offsets are even, so row ^ 1 is the pair's other view
+            view = "A and B" if place[row] == place[row ^ 1] else "AB"[side]
             where = f"config {k}, " if len(configs) > 1 else ""
             raise IntegrationDiverged(
                 step=err.step, system_index=index,
                 detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
-    return z_l, z_r, [(distinct_of[lo + a_sys], distinct_of[lo + b_sys])
-                      for lo, (a_sys, b_sys) in zip(offsets.tolist(), views)]
+    return z_l, z_r, [views.reshape(-1, 2) for views in np.split(place, offsets[1:-1])]
 
 
 def _first_appearances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -838,9 +822,9 @@ def run_batch(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     start = time.perf_counter()
     tables = [prepare_pairs(cfg) for cfg in configs]
     z_l, z_r, views = transport_views(tables, configs)
-    tables = [replace(table, outcome_a=sign_outcome(z_l[a_sys]),
-                      outcome_b=sign_outcome(z_r[b_sys]))
-              for table, (a_sys, b_sys) in zip(tables, views)]
+    tables = [replace(table, outcome_a=sign_outcome(z_l[view[:, 0]]),
+                      outcome_b=sign_outcome(z_r[view[:, 1]]))
+              for table, view in zip(tables, views)]
     tallies = [_tally(table) for table in tables]
     runtime_s = time.perf_counter() - start
     return [ExperimentReport(config=cfg, records=table, **tally, systems=len(z_l),

@@ -48,9 +48,9 @@ class InformationMode(enum.Enum):
 class SideTimeline:
     """Switching history of one analyzer as (time, angle) change points.
 
-    Times must be strictly increasing and the first must be <= 0 (it may
-    be -inf for a setting that predates the run). Consecutive angles must
-    differ, so every entry is a real switch.
+    Times must be strictly increasing and below +inf, and the first must
+    be <= 0 (it may be -inf for a setting that predates the run).
+    Consecutive angles must differ, so every entry is a real switch.
     """
 
     entries: tuple[tuple[float, float], ...]
@@ -69,6 +69,8 @@ class SideTimeline:
             raise ConfigError("consecutive timeline angles must differ")
         if times[0] > 0.0:
             raise ConfigError("timeline must start at or before t = 0")
+        if times[-1] == math.inf:
+            raise ConfigError("timeline times must be below inf: a switch at t = inf never happens")
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_angles", angles)
 

@@ -8,6 +8,8 @@ import os
 import pathlib
 import platform
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -367,6 +369,13 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _strict_json(path):
+    """A JSON file's contents, refusing the NaN and Infinity that JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
     # the golden explicit_off_menu run of test_experiment.py: 60 pairs meet
     # the off-menu angle 0.3 on side A
@@ -376,10 +385,23 @@ def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
                    "explicit_a = -inf:0.0;0.6:0.3;1.2:1.5707963267948966\n")
     out = tmp_path / "run"
     assert main(["run-epr", "--config", str(ini), "--pairs", "200", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _strict_json(out / "manifest.json")
     assert manifest["counters"] == {"off_menu_pairs": 60, "lost_a": 0, "lost_b": 0,
                                     "systems": 260}
     assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
+    # the -inf start time is echoed as text, since JSON has no infinity
+    assert _strict_json(out / "report.json")["config_echo"]["explicit_a"][0] == ["-inf", 0.0]
+
+
+def test_explicit_switch_at_inf_exits_2(tmp_path, capsys):
+    ini = tmp_path / "late.ini"
+    ini.write_text("[experiment]\nswitch_policy_a = explicit_list\n"
+                   "explicit_a = -inf:0.1; inf:0.2\n")
+    out = tmp_path / "run"
+    assert main(["run-epr", "--config", str(ini), "--pairs", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: timeline times must be below "
+                                       "inf: a switch at t = inf never happens\n")
+    assert not (out / "report.json").exists()
 
 
 def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
@@ -752,3 +774,14 @@ def test_dump_trajectories_rejects_fewer_than_one_pair(tmp_path, capsys, pairs):
     assert main(["dump-trajectories", "--pairs", pairs, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: --pairs")
     assert not (out / "trajectories.csv").exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs 11-15 ms of start-up to load; experiment._SeedState
+    # joins it only when pairs are first drawn, so a command that draws
+    # none never loads it
+    src = pathlib.Path(experiment_mod.__file__).parents[1]
+    code = "import sys, bohm_epr.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout == "False\n"

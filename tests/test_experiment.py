@@ -38,6 +38,7 @@ from bohm_epr.experiment import (
     CELL_LABELS,
     EVENT_HEADER,
     PairTable,
+    _first_appearances,
     init_stream,
     pair_draws,
     pair_stream,
@@ -618,15 +619,16 @@ def test_view_weights_are_keyed_by_angle_difference():
                       a_index=np.zeros(n, dtype=int), b_index=np.zeros(n, dtype=int),
                       b_seen_by_a=b_a, a_seen_by_b=a_b, switched_a=flags, switched_b=flags,
                       survived_a=~flags, survived_b=~flags)
-    (z_l0, z_r0, s2, c2), a_sys, b_sys = view_systems(table)
-    # a pair gets two systems only when its views' weights differ
-    assert len(s2) == n + 1
-    assert (b_sys - a_sys).tolist() == [0, 0, 0, 0, 0, 0, 1]
+    rows = view_systems(table)
+    assert rows.shape == (2 * n, 4)
     for k, view_angles in enumerate(views):
-        for system, (a, b) in zip((a_sys[k], b_sys[k]), view_angles):
-            assert np.array([s2[system], c2[system]]).tobytes() == \
-                np.array(SettingPair(a, b).weights()).tobytes()
-            assert (z_l0[system], z_r0[system]) == (table.z_l0[k], table.z_r0[k])
+        for row, (a, b) in zip(rows[2 * k:2 * k + 2], view_angles):
+            assert row[2:].tobytes() == np.array(SettingPair(a, b).weights()).tobytes()
+            assert (row[0], row[1]) == (table.z_l0[k], table.z_r0[k])
+    # a pair's views share a system unless their weights differ
+    z_l, _, [systems] = transport_views([table], [ExperimentConfig(n_pairs=n)])
+    assert len(z_l) == n + 1
+    assert (systems[:, 1] - systems[:, 0]).tolist() == [0, 0, 0, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("master_seed", [1, 2, 3])
@@ -639,9 +641,9 @@ def test_mirrored_pairs_transport_to_mirrored_exits(master_seed):
     mirror = replace(table, z_l0=table.z_r0, z_r0=table.z_l0,
                      setting_a=table.setting_b, setting_b=table.setting_a,
                      b_seen_by_a=table.a_seen_by_b, a_seen_by_b=table.b_seen_by_a)
-    z_l, z_r, [(a_sys, b_sys)] = transport_views([table], [cfg])
-    m_l, m_r, [(m_a, m_b)] = transport_views([mirror], [cfg])
-    for mine, theirs in ((m_a, b_sys), (m_b, a_sys)):
+    z_l, z_r, [views] = transport_views([table], [cfg])
+    m_l, m_r, [m_views] = transport_views([mirror], [cfg])
+    for mine, theirs in ((m_views[:, 0], views[:, 1]), (m_views[:, 1], views[:, 0])):
         assert m_l[mine].tobytes() == z_r[theirs].tobytes()
         assert m_r[mine].tobytes() == z_l[theirs].tobytes()
 
@@ -818,13 +820,16 @@ def test_aggregation_matches_a_recount_at_every_chunk_size(cfg):
 @given(small_configs().map(lambda cfg: replace(cfg, mode=InformationMode.LOCAL)))
 def test_a_pair_has_two_systems_iff_its_views_weigh_differently(cfg):
     table = prepare_pairs(cfg)
-    _, a_sys, b_sys = view_systems(table)
     views = [[SettingPair(a, b).weights() for a, b in zip(a_col.tolist(), b_col.tolist())]
              for a_col, b_col in ((table.setting_a, table.b_seen_by_a),
                                   (table.a_seen_by_b, table.setting_b))]
     a_w, b_w = (np.array(w).reshape(-1, 2) for w in views)
-    differ = [a.tobytes() != b.tobytes() for a, b in zip(a_w, b_w)]
-    assert (b_sys - a_sys).tolist() == [int(d) for d in differ]
+    differ = np.array([a.tobytes() != b.tobytes() for a, b in zip(a_w, b_w)], dtype=int)
+    # the distinct systems are, in order, each pair's A view and then its
+    # B view when that differs: the layout the transport chunks follow
+    a_sys = np.cumsum(1 + differ) - 1 - differ
+    systems = transport_views([table], [cfg])[2][0]
+    assert systems.tolist() == np.column_stack((a_sys, a_sys + differ)).tolist()
     # the oracle transports every view as a system of its own
     z_l, z_r = integrate_retiring(np.tile(table.z_l0, 2), np.tile(table.z_r0, 2),
                                   *np.concatenate((a_w, b_w)).T,
@@ -870,9 +875,31 @@ def test_batched_runs_equal_single_runs(configs, tmp_path):
     assert len({report.systems for report in batch}) == 1
     distinct = set()
     for cfg in configs:
-        systems, _, _ = view_systems(prepare_pairs(cfg))
-        distinct.update(row.tobytes() for row in np.stack(systems, axis=1))
+        distinct.update(row.tobytes() for row in view_systems(prepare_pairs(cfg)))
     assert batch[0].systems == len(distinct) < sum(report.systems for report in alone)
+
+
+def test_first_appearances_keeps_each_bit_pattern_once_in_order():
+    # rows 2 and 4 repeat rows 0 and 1; row 3 differs from row 1 only in
+    # the sign of a zero, which is a different key
+    rows = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [3.0, 0.5]])
+    keep, place = _first_appearances(rows)
+    assert keep.tolist() == [0, 1, 3, 5]
+    assert place.tolist() == [0, 1, 0, 2, 1, 3]
+    assert rows[keep][place].tobytes() == rows.tobytes()
+
+
+def test_a_table_repeated_in_a_call_adds_no_system():
+    cfg = ExperimentConfig(n_pairs=12, master_seed=3, mode=InformationMode.LOCAL)
+    other = replace(cfg, master_seed=4)
+    table, other_table = prepare_pairs(cfg), prepare_pairs(other)
+    z_l, _, [alone] = transport_views([table], [cfg])
+    both_l, _, views = transport_views([table, other_table, table], [cfg, other, cfg])
+    # the first table keeps its places, the second table's systems follow,
+    # and the repeat maps onto the first table's systems
+    assert views[0].tolist() == views[2].tolist() == alone.tolist()
+    assert views[1].min() == len(z_l)
+    assert both_l[:len(z_l)].tobytes() == z_l.tobytes()
 
 
 def test_divergence_in_a_batch_names_the_config(monkeypatch):
@@ -881,7 +908,7 @@ def test_divergence_in_a_batch_names_the_config(monkeypatch):
     # test_retirement.py) and the 13th distinct system of the batch
     configs = [ExperimentConfig(n_pairs=8, master_seed=1),
                ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)]
-    assert len(view_systems(prepare_pairs(configs[0]))[0][0]) == 8
+    assert len(transport_views([prepare_pairs(configs[0])], configs[:1])[0]) == 8
 
     def failing(*args, **kwargs):
         raise IntegrationDiverged(step=3, system_index=12)
@@ -889,7 +916,7 @@ def test_divergence_in_a_batch_names_the_config(monkeypatch):
     monkeypatch.setattr(experiment_mod, "integrate_retiring", failing)
     with pytest.raises(IntegrationDiverged) as err:
         run_batch(configs)
-    assert str(err.value) == ("non-finite state at step 3 (system 4): "
+    assert str(err.value) == ("non-finite state at step 3 (system 12): "
                               "config 1, pair 3, view B, local mode")
 
 

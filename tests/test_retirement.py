@@ -22,7 +22,7 @@ from bohm_epr import (
     integrate_retiring,
     run_epr,
 )
-from bohm_epr.experiment import prepare_pairs, view_systems
+from bohm_epr.experiment import prepare_pairs, transport_views
 
 CO = derive_coefficients(SILVER)
 FULL = IntegrationConfig(dt=1.0e-6, duration=CO.transit_time)
@@ -149,8 +149,8 @@ def test_run_epr_divergence_in_a_later_chunk_names_the_pair(monkeypatch):
     # at this seed pairs 0 to 2 have one system each and pair 3 two, whose
     # views differ in weights, so in chunks of three the second chunk's
     # system 1 is system 4, pair 3's B view
-    _, a_sys, b_sys = view_systems(prepare_pairs(cfg))
-    assert (a_sys[:4].tolist(), b_sys[:4].tolist()) == ([0, 1, 2, 3], [0, 1, 2, 4])
+    [views] = transport_views([prepare_pairs(cfg)], [cfg])[2]
+    assert views[:4].tolist() == [[0, 0], [1, 1], [2, 2], [3, 4]]
     monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 3)
     real = experiment_mod.integrate_retiring
     chunks = []
