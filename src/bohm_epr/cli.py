@@ -387,7 +387,7 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     cfg, provenance = build_config(_load_file_values(args.config),
                                    _overrides_from_args(args))
     out_dir = _ensure_out(args.out)
-    report = run_epr(cfg)
+    report = run_epr(cfg, every_outcome=args.events)
     if args.rates:
         # the parked bench never switches, so its counts need no draw and no transport
         quiet = quiescent_config(cfg)

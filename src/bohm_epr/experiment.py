@@ -267,8 +267,9 @@ class PairTable:
     entry, ``a_index`` and ``b_index`` their places in the menus (-1 when
     off-menu). Observer A attributes (setting_a, b_seen_by_a) to the
     apparatus, observer B (a_seen_by_b, setting_b). The outcome columns
-    are None until transport. Pair k is row k of every column; ``len``
-    counts the pairs and ``==`` compares every column.
+    are None until transport, and 0 for a pair left untransported. Pair
+    k is row k of every column; ``len`` counts the pairs and ``==``
+    compares every column.
     """
 
     pair_id: np.ndarray
@@ -345,13 +346,16 @@ class CountRates:
 class ExperimentReport:
     """Full outcome of one run, built once by ``run_epr``.
 
-    ``records`` is the run's ``PairTable``, outcomes included. ``bell``
-    is formed from the cells on first use and is None while a cell is
-    empty. ``off_menu`` counts the pairs with a setting outside its
-    side's menu (possible only with an explicit list); they fall out of
-    every cell. ``systems`` counts the distinct systems transported and
-    ``runtime_s`` is the wall time, both of the whole ``run_batch`` call
-    that made the report (``run_epr`` is a call of one config). ``rates``
+    ``records`` is the run's ``PairTable``, outcomes included; an
+    outcome is 0 for a pair that was not transported, which happens
+    only under ``run_batch(..., every_outcome=False)`` and only to pairs
+    outside every cell. ``bell`` is formed from the cells on first use
+    and is None while a cell is empty. ``off_menu`` counts the pairs
+    with a setting outside its side's menu (possible only with an
+    explicit list); they fall out of every cell. ``systems`` counts the
+    distinct systems transported and ``runtime_s`` is the wall time,
+    both of the whole ``run_batch`` call that made the report
+    (``run_epr`` is a call of one config). ``rates``
     holds the count rates against a quiescent baseline, for a caller that
     attaches them: ``replace(report, rates=count_rates(report, baseline))``
     (see ``count_rates`` for the two forms of baseline).
@@ -665,7 +669,7 @@ def _check_reads(cfg: ExperimentConfig, timelines: SettingTimelines, launches: n
                     f"at magnet entry")
 
 
-def prepare_pairs(cfg: ExperimentConfig) -> PairTable:
+def prepare_pairs(cfg: ExperimentConfig, draws: dict | None = None) -> PairTable:
     """Draw, switch, propagate information, and apply losses for each pair.
 
     Pairs that lose a particle are still prepared in full; their
@@ -673,10 +677,15 @@ def prepare_pairs(cfg: ExperimentConfig) -> PairTable:
     reach the detectors. The switching and loss columns come from
     ``setting_timelines`` and ``survival``. Each pair's angles are read
     at its two ``read_times``; ``_check_reads`` refuses the reads that
-    transport cannot honour.
+    transport cannot honour. ``draws`` is a dict that the calls of one
+    batch pass along, so that ``pair_draws`` runs once per (master_seed,
+    n_pairs, packet_width).
     """
-    a_rand, b_rand, z_l0, z_r0 = pair_draws(cfg.master_seed, cfg.n_pairs,
-                                            cfg.physics.packet_width)
+    key = (cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width)
+    draws = {} if draws is None else draws
+    if key not in draws:
+        draws[key] = pair_draws(*key)
+    a_rand, b_rand, z_l0, z_r0 = draws[key]
     timelines = setting_timelines(cfg, (a_rand, b_rand))
     launches = _launches(cfg)
     t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
@@ -723,21 +732,25 @@ def transport_views(
     tables: list[PairTable],
     configs: list[ExperimentConfig],
     record_every: int = 0,
+    needed: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Transport each distinct view system of the tables once; returns (z_l, z_r, views).
 
     Table k comes from ``configs[k]``; the configs must share physics and
-    dt. The ``view_systems`` rows of all tables are kept once per bit
-    pattern, in order of first appearance, and go through the transport
-    in chunks of ``_BATCH_CHUNK``. Systems are independent, so neither
-    chunks nor batch-mates change a result. ``views[k]`` is an (n, 2)
-    array: the system of each pair's A and B view in table k. With
-    ``record_every`` > 0, ``integrate_batch`` runs the full transit and
-    z_l, z_r are (recorded step, system) arrays; otherwise they are the
-    exits of ``integrate_retiring``. A divergence is raised again named
-    by config (in a batch of several), pair, view and mode; its
-    ``system_index`` is the failed system's index among the call's
-    distinct systems, the column of z_l and z_r it would have filled.
+    dt. ``needed[k]``, when given, is a mask over table k's pairs, and
+    only the views of those pairs are transported (all, when ``needed``
+    is None). The ``view_systems`` rows of the needed pairs are kept once
+    per bit pattern, in order of first appearance, and go through the
+    transport in chunks of ``_BATCH_CHUNK``. Systems are independent, so
+    neither chunks nor batch-mates change a result. ``views[k]`` is an
+    (n, 2) array: the system of each pair's A and B view in table k, or
+    -1 for a pair not needed. With ``record_every`` > 0,
+    ``integrate_batch`` runs the full transit and z_l, z_r are (recorded
+    step, system) arrays; otherwise they are the exits of
+    ``integrate_retiring``. A divergence is raised again named by config
+    (in a batch of several), pair, view and mode; its ``system_index`` is
+    the failed system's index among the call's distinct systems, the
+    column of z_l and z_r it would have filled.
     """
     head = configs[0]
     for k, cfg in enumerate(configs):
@@ -750,8 +763,12 @@ def transport_views(
     integrate = integrate_batch if record_every else integrate_retiring
     offsets = np.cumsum([0] + [2 * len(table) for table in tables])
     rows = np.concatenate([view_systems(table) for table in tables])
-    keep, place = _first_appearances(rows)
-    rows = rows[keep]
+    chosen = slice(None) if needed is None else np.repeat(np.concatenate(needed), 2)
+    keep, chosen_place = _first_appearances(rows[chosen])
+    place = np.full(len(rows), -1)
+    place[chosen] = chosen_place
+    del chosen_place
+    rows = rows[chosen][keep]
     m = len(rows)
     shape = (len(icfg.recorded_steps()), m) if record_every else m
     z_l, z_r = np.empty(shape), np.empty(shape)
@@ -761,7 +778,7 @@ def transport_views(
             z_l[..., lo:hi], z_r[..., lo:hi] = integrate(*rows[lo:hi].T, coeff, icfg)
         except IntegrationDiverged as err:
             index = lo + (err.system_index or 0)
-            row = int(keep[index])
+            row = int(np.arange(len(place))[chosen][keep[index]])
             k = int(np.searchsorted(offsets, row, side="right")) - 1
             pair, side = divmod(row - int(offsets[k]), 2)
             # the offsets are even, so row ^ 1 is the pair's other view
@@ -784,7 +801,8 @@ def _first_appearances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = rows.view(np.uint64)
     order = np.lexsort(bits.T)
     ordered = bits[order]
-    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     del ordered
     keep = np.sort(order[starts])
     place = np.empty_like(order)
@@ -792,12 +810,16 @@ def _first_appearances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, place
 
 
+def _counted(table: PairTable) -> np.ndarray:
+    """The pairs whose product enters a cell: both particles detected, both settings on-menu."""
+    return table.survived_a & table.survived_b & (table.a_index >= 0) & (table.b_index >= 0)
+
+
 def _tally(table: PairTable) -> dict:
     """A transported table's cells, singles, coincidences and off-menu count."""
-    coincident = table.survived_a & table.survived_b
     on_menu = (table.a_index >= 0) & (table.b_index >= 0)
     cell = 2 * table.a_index + table.b_index
-    counted = on_menu & coincident
+    counted = _counted(table)
     # sums of +-1 products are exact in float64
     products = (table.outcome_a * table.outcome_b)[counted]
     return dict(
@@ -807,23 +829,40 @@ def _tally(table: PairTable) -> dict:
         cell_launches=tuple(np.bincount(cell[on_menu], minlength=4).tolist()),
         singles_a=int(table.survived_a.sum()),
         singles_b=int(table.survived_b.sum()),
-        coincidences=int(coincident.sum()),
+        coincidences=int((table.survived_a & table.survived_b).sum()),
         off_menu=len(table) - int(on_menu.sum()),
     )
 
 
-def run_batch(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
+def _outcomes(z: np.ndarray, systems: np.ndarray) -> np.ndarray:
+    """The exit sign of each view's system, and 0 where the view was not transported."""
+    outcome = np.zeros(len(systems), dtype=int)
+    hit = systems >= 0
+    outcome[hit] = sign_outcome(z[systems[hit]])
+    return outcome
+
+
+def run_batch(configs: list[ExperimentConfig],
+              every_outcome: bool = True) -> list[ExperimentReport]:
     """Run several configs through one ``transport_views`` of their distinct systems.
 
     Report k equals ``run_epr(configs[k])`` alone in every number, since
     systems are independent; its ``systems`` and ``runtime_s`` belong to
-    the whole call.
+    the whole call. With ``every_outcome`` False only the pairs that
+    enter a cell (``_counted``) are transported, which leaves every
+    statistic as it is; the other pairs' outcomes are 0, so such records
+    cannot be written as events. ``systems`` then counts the systems of
+    the counted pairs.
     """
     start = time.perf_counter()
-    tables = [prepare_pairs(cfg) for cfg in configs]
-    z_l, z_r, views = transport_views(tables, configs)
-    tables = [replace(table, outcome_a=sign_outcome(z_l[view[:, 0]]),
-                      outcome_b=sign_outcome(z_r[view[:, 1]]))
+    draws = {}
+    tables = [prepare_pairs(cfg, draws) for cfg in configs]
+    # the menu draws are read only by prepare; free them before transport
+    del draws
+    needed = None if every_outcome else [_counted(table) for table in tables]
+    z_l, z_r, views = transport_views(tables, configs, needed=needed)
+    tables = [replace(table, outcome_a=_outcomes(z_l, view[:, 0]),
+                      outcome_b=_outcomes(z_r, view[:, 1]))
               for table, view in zip(tables, views)]
     tallies = [_tally(table) for table in tables]
     runtime_s = time.perf_counter() - start
@@ -832,9 +871,9 @@ def run_batch(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
             for cfg, table, tally in zip(configs, tables, tallies)]
 
 
-def run_epr(cfg: ExperimentConfig) -> ExperimentReport:
+def run_epr(cfg: ExperimentConfig, every_outcome: bool = True) -> ExperimentReport:
     """Execute a full run and aggregate its statistics: ``run_batch`` of one config."""
-    return run_batch([cfg])[0]
+    return run_batch([cfg], every_outcome)[0]
 
 
 def count_rates(switched: ExperimentReport | Survival,
@@ -925,8 +964,12 @@ def _angle_text(angles: np.ndarray) -> list[str]:
 
 
 def write_events_csv(report: ExperimentReport, path) -> None:
-    """One line per launched pair, in launch order."""
+    """One line per launched pair, in launch order; every pair must have been transported."""
     t = report.records
+    missing = (t.outcome_a == 0) | (t.outcome_b == 0)
+    if missing.any():
+        raise ValueError(f"pair {int(np.argmax(missing))} was not transported (outcome 0); "
+                         f"events need run_batch(..., every_outcome=True)")
     columns = zip(t.pair_id.tolist(),
                   *map(_angle_text, (t.setting_a, t.setting_b, t.b_seen_by_a, t.a_seen_by_b)),
                   t.outcome_a.tolist(), t.outcome_b.tolist(),
@@ -990,7 +1033,8 @@ def table1_run(
 ) -> list[TableRow]:
     """The four-row summary table over both modes and both loss settings, in one run_batch."""
     rows: list[TableRow] = []
-    reports = run_batch(table1_configs(master_seed, n_pairs, replicate))
+    # a table prints only the cells, so it transports only the pairs they count
+    reports = run_batch(table1_configs(master_seed, n_pairs, replicate), every_outcome=False)
     for (label, *_), report in zip(TABLE1_ROWS, reports):
         if report.bell is None:
             raise EstimationError(f"row {label} left an empty setting cell")

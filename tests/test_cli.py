@@ -285,10 +285,11 @@ def test_run_epr_rates_are_written_when_s_is_undefined(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["S_signed"] is None
     assert (report["Q1"], report["Q1p"], report["C2"], report["C2p"]) == (1.0, 0.755, 1.0, 0.51)
-    # Q1p_a = C2p = 0.51 keeps 204 of side A's 400 particles; parked B loses none
+    # Q1p_a = C2p = 0.51 keeps 204 of side A's 400 particles; parked B loses none.
+    # Without --events only those 204 coincident pairs are transported.
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["counters"] == {"off_menu_pairs": 0, "lost_a": 196, "lost_b": 0,
-                                    "systems": 400}
+                                    "systems": 204}
 
 
 def test_run_epr_rates_run_one_experiment(tmp_path, monkeypatch):
@@ -316,6 +317,38 @@ def test_run_epr_rates_run_one_experiment(tmp_path, monkeypatch):
     assert seen[()][0] == list(range(60))
     assert seen[()][1] >= 1
     assert seen[("--rates",)] == seen[()]
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_run_epr_events_do_not_change_the_report(tmp_path, seed):
+    # without --events only the counted pairs are transported; the lossy
+    # local bench leaves about three in four pairs out of every cell
+    ini = tmp_path / "lossy.ini"
+    ini.write_text("[experiment]\nmode = local\nefficiency = inefficient\n"
+                   "normalization = coincidences\nkick_threshold = 0.0\n")
+    docs = {}
+    for flags in ((), ("--events",)):
+        out = tmp_path / f"run{len(flags)}"
+        assert main(["run-epr", "--config", str(ini), "--pairs", "300", "--seed", str(seed),
+                     *flags, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_s")
+        docs[flags] = (json.dumps(report, indent=2),
+                       json.loads((out / "manifest.json").read_text())["counters"]["systems"])
+    assert docs[()][0] == docs[("--events",)][0]
+    assert docs[()][1] < docs[("--events",)][1]
+
+
+def test_run_epr_that_counts_no_pair_transports_nothing(tmp_path, capsys):
+    # all four pairs lose a particle, so no cell counts a pair and S is undefined
+    ini = tmp_path / "lossy.ini"
+    ini.write_text("[experiment]\nmode = local\nefficiency = inefficient\n"
+                   "normalization = coincidences\nkick_threshold = 0.0\n")
+    out = tmp_path / "run"
+    assert main(["run-epr", "--config", str(ini), "--pairs", "4", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert "S undefined" in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text())["counters"]["systems"] == 0
 
 
 def test_run_epr_exit_codes(tmp_path):
@@ -386,8 +419,9 @@ def test_run_epr_manifest_counts_off_menu_pairs(tmp_path):
     out = tmp_path / "run"
     assert main(["run-epr", "--config", str(ini), "--pairs", "200", "--out", str(out)]) == 0
     manifest = _strict_json(out / "manifest.json")
+    # without --events the 60 off-menu pairs are not transported
     assert manifest["counters"] == {"off_menu_pairs": 60, "lost_a": 0, "lost_b": 0,
-                                    "systems": 260}
+                                    "systems": 170}
     assert sorted(os.listdir(out)) == ["manifest.json", "report.json"]
     # the -inf start time is echoed as text, since JSON has no infinity
     assert _strict_json(out / "report.json")["config_echo"]["explicit_a"][0] == ["-inf", 0.0]
@@ -577,8 +611,8 @@ def test_table1_manifest_records_each_row(tmp_path, monkeypatch):
                              "config_sha256": config_digest(cfg)})
     assert manifest["rows"] == expected
     assert len({row["config_sha256"] for row in expected}) == 8
-    # each replicate transports its rows' distinct systems once
-    assert manifest["counters"] == {"systems": 1517}
+    # each replicate transports the distinct systems of its rows' counted pairs once
+    assert manifest["counters"] == {"systems": 1018}
     table = json.loads((out / "table1.json").read_text())
     assert [row["seed"] for row in table["rows"]] == [r["seed"] for r in expected[:4]]
 

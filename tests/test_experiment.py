@@ -840,11 +840,15 @@ def test_a_pair_has_two_systems_iff_its_views_weigh_differently(cfg):
     assert report.records.outcome_b.tobytes() == sign_outcome(z_r[n:]).tobytes()
 
 
-def _run_bytes(report, path):
+def _report_text(report):
     doc = report_json_dict(report)
     doc.pop("runtime_s")
+    return json.dumps(doc, indent=2)
+
+
+def _run_bytes(report, path):
     write_events_csv(report, path)
-    return json.dumps(doc, indent=2), path.read_bytes()
+    return _report_text(report), path.read_bytes()
 
 
 MIXED_BATCH = [
@@ -867,16 +871,65 @@ MIXED_BATCH = [
 def test_batched_runs_equal_single_runs(configs, tmp_path):
     batch = run_batch(configs)
     alone = [run_epr(cfg) for cfg in configs]
-    for k, (together, single) in enumerate(zip(batch, alone)):
-        assert together.config == configs[k]
+    selected = run_batch(configs, every_outcome=False)
+    for k, (together, single, chosen) in enumerate(zip(batch, alone, selected)):
+        assert together.config == chosen.config == configs[k]
         assert _run_bytes(together, tmp_path / "batch.csv") == \
             _run_bytes(single, tmp_path / "alone.csv")
+        # transporting only the counted pairs leaves every statistic as it is
+        assert _report_text(chosen) == _report_text(together)
+        counted = experiment_mod._counted(together.records)
+        for side in ("outcome_a", "outcome_b"):
+            got, full = getattr(chosen.records, side), getattr(together.records, side)
+            assert got[counted].tobytes() == full[counted].tobytes()
+            assert not got[~counted].any()
     # one transport for the batch, of each distinct system once
     assert len({report.systems for report in batch}) == 1
     distinct = set()
     for cfg in configs:
         distinct.update(row.tobytes() for row in view_systems(prepare_pairs(cfg)))
     assert batch[0].systems == len(distinct) < sum(report.systems for report in alone)
+    if configs is not MIXED_BATCH:
+        # the lossy rows count about one pair in four
+        assert selected[0].systems < batch[0].systems
+
+
+def test_a_batch_draws_each_shared_seed_once(monkeypatch):
+    calls = []
+    real = experiment_mod.pair_draws
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiment_mod, "pair_draws", counting)
+    configs = table1_configs(7, 100)
+    run_batch(configs, every_outcome=False)
+    # the two inefficient rows differ only in mode and share one seed
+    distinct = {(cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width) for cfg in configs}
+    assert len(distinct) == 3
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_a_batch_that_counts_no_pair_transports_nothing():
+    # each of the four pairs loses a particle to a switched magnet
+    cfg = ExperimentConfig(n_pairs=4, master_seed=2, mode=InformationMode.LOCAL,
+                           efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0,
+                           normalization=Normalization.COINCIDENCES)
+    [report] = run_batch([cfg], every_outcome=False)
+    assert report.systems == 0 and report.coincidences == 0 and report.bell is None
+    assert report.records.outcome_a.tolist() == report.records.outcome_b.tolist() == [0] * 4
+    assert run_epr(cfg).systems > 0
+
+
+def test_events_refuse_a_pair_that_was_not_transported(tmp_path):
+    cfg = ExperimentConfig(n_pairs=40, master_seed=41, efficiency=Efficiency.INEFFICIENT,
+                           kick_threshold=0.0)
+    [report] = run_batch([cfg], every_outcome=False)
+    first = int(np.argmin(experiment_mod._counted(report.records)))
+    with pytest.raises(ValueError, match=rf"^pair {first} was not transported \(outcome 0\)"):
+        write_events_csv(report, tmp_path / "events.csv")
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_first_appearances_keeps_each_bit_pattern_once_in_order():
@@ -887,6 +940,8 @@ def test_first_appearances_keeps_each_bit_pattern_once_in_order():
     assert keep.tolist() == [0, 1, 3, 5]
     assert place.tolist() == [0, 1, 0, 2, 1, 3]
     assert rows[keep][place].tobytes() == rows.tobytes()
+    keep, place = _first_appearances(np.empty((0, 4)))
+    assert keep.tolist() == place.tolist() == []
 
 
 def test_a_table_repeated_in_a_call_adds_no_system():
