@@ -568,12 +568,12 @@ def setting_timelines(
         if policy is SwitchPolicy.STATIC:
             timelines.append(static_timeline(menu[0]))
         elif policy is SwitchPolicy.EXPLICIT_LIST:
-            timelines.append(SideTimeline(entries=tuple((float(t), float(a)) for t, a in explicit)))
+            timelines.append(SideTimeline(entries=explicit))
         else:
             angles = np.array(menu)[menu_draws[k]]
             switch = angles != np.concatenate(([firsts[k]], angles[:-1]))
-            timelines.append(SideTimeline(entries=(
-                (-math.inf, firsts[k]), *zip(launches[switch].tolist(), angles[switch].tolist()))))
+            timelines.append(SideTimeline(entries=np.column_stack((
+                np.append(-math.inf, launches[switch]), np.append(firsts[k], angles[switch])))))
     return SettingTimelines(*timelines, separation=cfg.separation, signal_speed=cfg.signal_speed)
 
 
@@ -653,13 +653,14 @@ def _check_reads(cfg: ExperimentConfig, timelines: SettingTimelines, launches: n
              (t_partner, "news of analyzer {side}'s switch reaches side {partner}")]
     for side, partner, timeline in (("A", "B", timelines.side_a), ("B", "A", timelines.side_b)):
         # pair 0 reads first; only an explicit list starts at a finite time
-        if t_partner[0] < timeline.entries[0][0]:
+        if t_partner[0] < timeline.times[0]:
             raise ConfigError(f"explicit_{side.lower()} must start at or before t = "
                               f"{float(t_partner[0])!r} s, where side {partner} reads it for "
                               f"pair 0 in local mode")
         for t_read, what in reads:
-            inside = timeline.changes_in(np.nextafter(t_read, math.inf),
-                                         np.nextafter(t_read + transit, -math.inf))
+            # no float lies inside a window whose ends cross
+            lo, hi = np.nextafter(t_read, math.inf), np.nextafter(t_read + transit, -math.inf)
+            inside = timeline.changes_in(lo, np.maximum(lo, hi)) & (lo <= hi)
             if inside.any():
                 i = int(np.argmax(inside))
                 entry = float(t_own[i])
@@ -716,8 +717,14 @@ def view_systems(table: PairTable) -> np.ndarray:
     Row 2k is pair k's A view and row 2k + 1 its B view; a view's
     trajectory depends on these four numbers alone.
     """
-    diff = np.column_stack((table.setting_a - table.b_seen_by_a,
-                            table.a_seen_by_b - table.setting_b)).ravel()
+    views = ((table.setting_a, table.b_seen_by_a), (table.a_seen_by_b, table.setting_b))
+    with np.errstate(over="ignore"):
+        diff = np.column_stack([own - seen for own, seen in views]).ravel()
+    if np.isinf(diff).any():
+        i, k = divmod(int(np.argmax(np.isinf(diff))), 2)
+        own, seen = (float(angles[i]) for angles in views[k])
+        raise ConfigError(f"pair {i}: side {'AB'[k]}'s view holds angles {own!r} and "
+                          f"{seen!r}, whose difference overflows")
     # the weights depend on the angle difference alone, and weights() makes
     # this same subtraction; math.sin runs once per distinct difference
     # because np.sin may differ from it in the last bit

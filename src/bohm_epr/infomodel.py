@@ -1,8 +1,8 @@
 """What each analyzer station knows about the other, and when.
 
-A ``SideTimeline`` is the switching history of one analyzer: a sorted
-sequence of (time, angle) change points, the first of which must sit at
-or before t = 0. A query before the first entry has no answer; the run
+A ``SideTimeline`` is the switching history of one analyzer: sorted
+``times`` and the ``angles`` that take effect at them, the first time at
+or before t = 0. A query before the first time has no answer; the run
 refuses a local-mode read that falls there. ``SettingTimelines`` bundles
 both sides with the station separation and the speed at which setting
 news is allowed to travel.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,23 +44,24 @@ class InformationMode(enum.Enum):
     NONLOCAL = "nonlocal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SideTimeline:
-    """Switching history of one analyzer as (time, angle) change points.
+    """Switching history of one analyzer as read-only ``times`` and ``angles`` arrays.
 
-    Times must be strictly increasing and below +inf, and the first must
-    be <= 0 (it may be -inf for a setting that predates the run).
-    Consecutive angles must differ, so every entry is a real switch.
+    ``entries`` is a (k, 2) sequence or array of (time, angle) change
+    points. Times strictly increase below +inf from a first time <= 0,
+    which is -inf for a setting that predates the run. Consecutive
+    angles must differ, so every entry is a real switch.
     """
 
-    entries: tuple[tuple[float, float], ...]
-    _times: np.ndarray = field(init=False, repr=False, compare=False)
-    _angles: np.ndarray = field(init=False, repr=False, compare=False)
+    entries: InitVar[tuple[tuple[float, float], ...] | np.ndarray]
+    times: np.ndarray = field(init=False)
+    angles: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __post_init__(self, entries) -> None:
+        times, angles = np.asarray(entries, dtype=float).reshape(-1, 2).T.copy()
+        if not times.size:
             raise ConfigError("timeline needs at least one entry")
-        times, angles = np.array(self.entries, dtype=float).reshape(-1, 2).T.copy()
         if np.isnan(times).any() or not np.isfinite(angles).all():
             raise ConfigError("timeline entries must be (time, finite angle)")
         if (times[1:] <= times[:-1]).any():
@@ -71,24 +72,30 @@ class SideTimeline:
             raise ConfigError("timeline must start at or before t = 0")
         if times[-1] == math.inf:
             raise ConfigError("timeline times must be below inf: a switch at t = inf never happens")
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_angles", angles)
+        times.flags.writeable = angles.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "angles", angles)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SideTimeline):
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(self.angles, other.angles)
 
     def angles_at(self, t: np.ndarray) -> np.ndarray:
         """The angle in force at each time t (change points take effect at t)."""
         if np.isnan(t).any():
             raise ConfigError("query time must not be NaN")
-        idx = np.searchsorted(self._times, t, side="right") - 1
+        idx = np.searchsorted(self.times, t, side="right") - 1
         if (idx < 0).any():
             raise ConfigError(f"no timeline entry at or before t = {float(t[idx < 0][0])!r}")
-        return self._angles[idx]
+        return self.angles[idx]
 
     def changes_in(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Whether any switch time falls inside each closed window [t0, t1]."""
         if (t1 < t0).any():
             raise ConfigError("window must be ordered")
-        return (np.searchsorted(self._times, t1, side="right")
-                > np.searchsorted(self._times, t0, side="left"))
+        return (np.searchsorted(self.times, t1, side="right")
+                > np.searchsorted(self.times, t0, side="left"))
 
     def angle_at(self, t: float) -> float:
         """One-element ``angles_at``."""

@@ -469,6 +469,38 @@ def test_failed_write_to_an_open_output_names_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run-epr", "dump-trajectories"])
+def test_angle_difference_out_of_float_range_exits_2(tmp_path, capsys, command):
+    # every angle is finite, but a view's difference overflows to inf
+    ini = tmp_path / "far.ini"
+    ini.write_text("[experiment]\nangles_a = 1e308, 0\nangles_b = -1e308, 1\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(ini), "--pairs", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: pair 2: side A's view holds angles 1e+308 and -1e+308, "
+        "whose difference overflows\n")
+    assert not any(out.iterdir())
+
+
+def test_read_whose_transit_rounds_away_runs(tmp_path):
+    # at these read times t + transit rounds to within an ulp of t, so no
+    # float lies inside the read's transit and no switch can fall there
+    reports = {}
+    for name, experiment in (("period", "pair_period = 1e15"),
+                             ("slow", "mode = local\nsignal_speed = 1e-13"),
+                             ("slower", "mode = local\nsignal_speed = 1e-11")):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(f"[experiment]\n{experiment}\n")
+        out = tmp_path / name
+        pairs = "8" if name == "period" else "400"
+        assert main(["run-epr", "--config", str(ini), "--pairs", pairs, "--seed", "3",
+                     "--out", str(out)]) == 0
+        reports[name] = json.loads((out / "report.json").read_text())
+    # news never arrives at either speed, so both runs read the same stale views
+    assert reports["slow"]["per_setting"] == reports["slower"]["per_setting"]
+    assert reports["slow"]["S_signed"] == reports["slower"]["S_signed"]
+
+
+@pytest.mark.parametrize("command", ["run-epr", "dump-trajectories"])
 def test_packet_width_out_of_float_range_exits_2(tmp_path, capsys, command):
     ini = tmp_path / "wide.ini"
     ini.write_text("[physics]\npacket_width = 1e300\n")

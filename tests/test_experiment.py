@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -21,6 +22,7 @@ from bohm_epr import (
     InformationMode,
     IntegrationDiverged,
     Normalization,
+    SideTimeline,
     SwitchPolicy,
     chsh,
     count_rates,
@@ -1015,3 +1017,42 @@ def test_parked_survival_counts_as_the_full_baseline_run(cfg, kick_threshold):
 def test_random_switching_needs_the_menu_draws():
     with pytest.raises(ValueError, match="menu draws"):
         setting_timelines(ExperimentConfig(switch_policy_b=SwitchPolicy.STATIC))
+
+
+def test_setting_timelines_match_the_tuple_form_built_from_pair_streams():
+    cfg = ExperimentConfig(n_pairs=300, master_seed=11, mode=InformationMode.LOCAL)
+    streams = [pair_stream(cfg.master_seed, i) for i in range(cfg.n_pairs)]
+    menu_draws = tuple(np.array([(rng.integers(0, 2), rng.integers(0, 2))
+                                 for rng in streams]).T)
+    timelines = setting_timelines(cfg, menu_draws)
+    rng_init = init_stream(cfg.master_seed)
+    launches = np.arange(cfg.n_pairs) * cfg.pair_period
+    for menu, draws, got in ((cfg.angles_a, menu_draws[0], timelines.side_a),
+                             (cfg.angles_b, menu_draws[1], timelines.side_b)):
+        # one (time, angle) tuple per switch, as the history was once kept
+        entries = [(-math.inf, menu[int(rng_init.integers(0, 2))])]
+        for t, k in zip(launches.tolist(), draws.tolist()):
+            if menu[k] != entries[-1][1]:
+                entries.append((t, menu[k]))
+        assert len(entries) > 100
+        assert got == SideTimeline(entries=tuple(entries))
+        assert got.times.tobytes() == np.array([t for t, _ in entries]).tobytes()
+        assert got.angles.tobytes() == np.array([a for _, a in entries]).tobytes()
+
+
+def test_setting_timelines_hold_no_python_object_per_switch():
+    # the fast-beam local bench at 20 000 pairs, where about half the
+    # launches switch each side; a tuple per switch peaked near 3 MiB
+    cfg = ExperimentConfig(n_pairs=20000, master_seed=101, mode=InformationMode.LOCAL,
+                           efficiency=Efficiency.INEFFICIENT,
+                           normalization=Normalization.COINCIDENCES, kick_threshold=0.0,
+                           physics=replace(SILVER, beam_speed=1.0e5))
+    a_rand, b_rand, _, _ = pair_draws(cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width)
+    tracemalloc.start()
+    try:
+        timelines = setting_timelines(cfg, (a_rand, b_rand))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(timelines.side_a.times) > 9000 and len(timelines.side_b.times) > 9000
+    assert peak < 2 * 2**20

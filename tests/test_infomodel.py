@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bohm_epr import (
@@ -65,6 +66,28 @@ def test_static_timeline():
     assert tl.angle_at(-1.0e12) == 0.25
     assert tl.angle_at(1.0e12) == 0.25
     assert not tl.has_change_in(0.0, 1.0e12)
+
+
+def test_timeline_equality_is_by_value_whatever_the_entries_form():
+    entries = ((-math.inf, 0.1), (1.0, 0.2), (2.0, 0.3))
+    tl = timeline(*entries)
+    assert tl == SideTimeline(entries=np.array(entries))
+    assert tl == SideTimeline(entries=[list(e) for e in entries])
+    assert tl != timeline((-math.inf, 0.1), (1.0, 0.2), (2.0, 0.4))
+    assert tl != timeline((-math.inf, 0.1), (1.0, 0.2))
+    assert tl != entries
+
+
+def test_timeline_arrays_are_read_only():
+    source = np.array([[-math.inf, 0.1], [1.0, 0.2]])
+    tl = SideTimeline(entries=source)
+    assert tl.times.tolist() == [-math.inf, 1.0] and tl.angles.tolist() == [0.1, 0.2]
+    for array in (tl.times, tl.angles):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    source[1, 1] = 0.9                  # the timeline keeps its own copy
+    assert tl.angle_at(1.0) == 0.2
 
 
 def test_timelines_validation():
