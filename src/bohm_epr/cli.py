@@ -69,6 +69,7 @@ from .experiment import (
 from .hooke import (
     HookeParams,
     SpringMode,
+    SpringTrajectory,
     simulate_spring,
     spring_energy,
     spring_grid,
@@ -507,7 +508,6 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     modes = list(SpringMode) if args.coupling == "all" else [SpringMode(args.coupling)]
     # every grid is checked before anything is written or run
     steps = {}
-    n_steps = {}
     for mode in modes:
         if args.dt is not None:
             steps[mode] = args.dt
@@ -515,22 +515,24 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
             steps[mode] = args.tau / 8.0
         else:
             steps[mode] = params.period / 2000.0
-        n_steps[mode.value] = spring_grid(params, mode, duration, steps[mode]).n_steps
+    n_steps = {m.value: spring_grid(params, m, duration, dt).n_steps for m, dt in steps.items()}
     out_dir = _ensure_out(args.out)
 
     files = ["manifest.json"]
     with _run_files(out_dir) as stage:
         for mode, dt in steps.items():
             traj = simulate_spring(params, mode, duration, dt)
-            fname = f"hooke_{mode.value}.csv"
-            write_spring_csv(traj, stage(fname))
-            files.append(fname)
-            energy = spring_energy(params, traj)
-            drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
+            files.append(f"hooke_{mode.value}.csv")
+            write_spring_csv(traj, stage(files[-1]))
+            e_0, e_end = spring_energy(params, SpringTrajectory(
+                *(col[[0, -1]] for col in (traj.t, traj.x1, traj.v1, traj.x2, traj.v2))))
+            drift = abs(float(e_end - e_0)) / abs(float(e_0))
             print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
                   f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
+            del traj  # one coupling's rows at a time
         write_manifest(stage("manifest.json"), None, files, "hooke-demo",
-                       {"tau": args.tau, "periods": args.periods}, started,
+                       {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
+                        "dt": {m.value: dt for m, dt in steps.items()}}, started,
                        extra={"counters": {"steps": n_steps}})
     print(f"wrote {', '.join(sorted(files))} in {out_dir}")
     return 0

@@ -771,11 +771,10 @@ def transport_views(
     offsets = np.cumsum([0] + [2 * len(table) for table in tables])
     rows = np.concatenate([view_systems(table) for table in tables])
     chosen = slice(None) if needed is None else np.repeat(np.concatenate(needed), 2)
-    keep, chosen_place = _first_appearances(rows[chosen])
     place = np.full(len(rows), -1)
-    place[chosen] = chosen_place
-    del chosen_place
-    rows = rows[chosen][keep]
+    rows = rows[chosen]
+    keep, place[chosen] = _first_appearances(rows)
+    rows = rows[keep]
     m = len(rows)
     shape = (len(icfg.recorded_steps()), m) if record_every else m
     z_l, z_r = np.empty(shape), np.empty(shape)
@@ -785,7 +784,7 @@ def transport_views(
             z_l[..., lo:hi], z_r[..., lo:hi] = integrate(*rows[lo:hi].T, coeff, icfg)
         except IntegrationDiverged as err:
             index = lo + (err.system_index or 0)
-            row = int(np.arange(len(place))[chosen][keep[index]])
+            row = int(np.argmax(place == index))  # the system's first appearance
             k = int(np.searchsorted(offsets, row, side="right")) - 1
             pair, side = divmod(row - int(offsets[k]), 2)
             # the offsets are even, so row ^ 1 is the pair's other view

@@ -29,7 +29,8 @@ linear in the state, with at most affine time forcing. For those one
 ``rk4_step`` is an exact affine map of the step index and the state, so
 ``simulate_spring`` applies that step to probe states once, reads off its
 6x6 matrix on (x1, v1, x2, v2, 1, i), and fills the rows with powers of
-it. The retarded loop steps one row at a time.
+it. The retarded loop steps one row at a time. Either way a trajectory's
+columns are views of its one row array, so holding any keeps the run.
 
 ``spring_grid`` states the grid rule once: the delay rule above, then
 ``integrate.IntegrationConfig``, the step rule transport uses. So a grid
@@ -101,7 +102,10 @@ class HookeParams:
 
 @dataclass(frozen=True)
 class SpringTrajectory:
-    """Sampled motion of both masses, one row per step."""
+    """Sampled motion of both masses, one row per step.
+
+    x1, v1, x2 and v2 are column views of one row array: any keeps the whole run.
+    """
 
     t: np.ndarray
     x1: np.ndarray
@@ -233,13 +237,7 @@ def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
             rows[i + 1] = y
     else:
         _fill_by_step_map(rows, _step_map(rhs, dt))
-    return SpringTrajectory(
-        t=np.arange(rows.shape[0]) * dt,
-        x1=rows[:, 0].copy(),
-        v1=rows[:, 1].copy(),
-        x2=rows[:, 2].copy(),
-        v2=rows[:, 3].copy(),
-    )
+    return SpringTrajectory(np.arange(rows.shape[0]) * dt, *rows.T)
 
 
 def center_of_mass_spring(params: HookeParams, duration: float, dt: float) -> SpringTrajectory:

@@ -46,7 +46,7 @@ from .velocity import (
 
 _MIN_STEPS = 10
 # Transport takes 3000 steps and hooke-demo at 40 periods 80 000. A spring
-# run stores about 72 B per step, so 10**7 steps is about 0.7 GB.
+# run stores 40 B per step (its rows and t), so 10**7 steps is about 0.4 GB.
 _MAX_STEPS = 10**7
 
 

@@ -10,6 +10,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from bohm_epr import (
     ConfigError,
     Efficiency,
     ExperimentConfig,
+    HookeParams,
     InformationMode,
     IntegrationConfig,
     Normalization,
@@ -667,6 +669,33 @@ def test_hooke_demo_all_couplings(tmp_path, capsys):
         "instantaneous": 4000, "retarded": round(4.0 * math.pi / 3.0 / 0.00625),
         "expanded": 4000, "cm": 4000}}
     assert len(first) == 1 + 4001
+
+
+@pytest.mark.parametrize("argv, coupling, steps", [
+    # default steps: 2000 a period, the retarded coupling at tau/8
+    ([], "all", {**dict.fromkeys(("instantaneous", "expanded", "cm"),
+                                 HookeParams().period / 2000.0), "retarded": 0.05 / 8.0}),
+    (["--coupling", "cm", "--dt", "0.001"], "cm", {"cm": 0.001}),
+])
+def test_hooke_demo_manifest_records_coupling_and_steps(tmp_path, argv, coupling, steps):
+    assert main(["hooke-demo", "--tau", "0.05", "--periods", "2", *argv,
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["provenance"] == {"tau": 0.05, "periods": 2.0, "coupling": coupling,
+                                      "dt": steps}
+
+
+def test_hooke_demo_holds_one_coupling_at_a_time(tmp_path, capsys):
+    # One coupling's rows and t at 20 000 steps are 0.76 MiB, and the call
+    # peaks near 1.04 MiB. Copied columns or an energy array over every row
+    # (1.43 MiB each), or two couplings alive at once (1.80 MiB), pass the bound.
+    tracemalloc.start()
+    try:
+        assert main(["hooke-demo", "--periods", "10", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):

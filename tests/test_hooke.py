@@ -1,6 +1,7 @@
 """Coupled spring sandbox: closed-form checks and delay expansions."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -199,3 +200,28 @@ def test_retarded_csv_is_pinned(tmp_path):
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "hooke_retarded.csv").read_bytes()).hexdigest()
     assert digest == "16e2f90f14a1817379afa9e79177f45cc083f72c01b270817d1a4f309a59f62b"
+
+
+@pytest.mark.parametrize("mode, delay", [(SpringMode.INSTANTANEOUS, 0.0),
+                                         (SpringMode.RETARDED, PERIOD / 50.0)])
+def test_trajectory_columns_share_one_row_buffer(mode, delay):
+    traj = simulate_spring(HookeParams(delay=delay), mode, *default_grid(periods=1.0))
+    # columns of one array overlap in extent though not in elements
+    rows = traj.x1.base
+    assert rows is not None and rows.shape == (len(traj.t), 4)
+    assert all(col.base is rows and np.may_share_memory(col, traj.x1)
+               for col in (traj.v1, traj.x2, traj.v2))
+
+
+def test_printed_drift_matches_energy_over_every_row(tmp_path, capsys):
+    # hooke-demo reads only the end rows; the full energy array must agree
+    assert main(["hooke-demo", "--tau", "0.05", "--periods", "2", "--out", str(tmp_path)]) == 0
+    printed = {line.split()[0]: line.split()[-1]
+               for line in capsys.readouterr().out.splitlines() if "energy drift" in line}
+    steps = json.loads((tmp_path / "manifest.json").read_text())["provenance"]["dt"]
+    p = HookeParams(delay=0.05)
+    assert sorted(printed) == sorted(steps) == sorted(m.value for m in SpringMode)
+    for name, dt in steps.items():
+        energy = spring_energy(p, simulate_spring(p, SpringMode(name), 2 * p.period, dt))
+        drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
+        assert printed[name] == f"{drift:.3e}"
