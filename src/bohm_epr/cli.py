@@ -54,6 +54,7 @@ from .experiment import (
     check_kick_threshold,
     check_seed,
     count_rates,
+    detector_loss,
     kick_ratio,
     prepare_pairs,
     quiescent_config,
@@ -76,7 +77,7 @@ from .hooke import (
     write_spring_csv,
 )
 from .infomodel import InformationMode
-from .physconst import RawPhysicalInputs
+from .physconst import LIGHT_SPEED, RawPhysicalInputs
 
 ENV_SEED = "BOHM_EPR_SEED"
 # rows of trajectories.csv (pair x view x recorded step), held until written
@@ -492,7 +493,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_kick_ratio(args: argparse.Namespace) -> int:
     ratio = kick_ratio(args.speed, args.light_speed)
-    lost = ratio >= check_kick_threshold(args.threshold, "--threshold")
+    lost = not detector_loss(True, Efficiency.INEFFICIENT, args.speed, args.light_speed,
+                             check_kick_threshold(args.threshold, "--threshold"))
     print(f"beam_speed = {args.speed!r} cm/s")
     print(f"light_speed = {args.light_speed!r} cm/s")
     print(f"kick_ratio = {ratio!r}")
@@ -614,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     kick = subs.add_parser("kick-ratio", help="switching kick for a beam speed")
     kick.add_argument("--speed", type=float, metavar="V", default=1.0e4,
                       help="beam speed in cm/s (default 1e4)")
-    kick.add_argument("--light-speed", type=float, metavar="C", default=2.998e10)
+    kick.add_argument("--light-speed", type=float, metavar="C", default=LIGHT_SPEED)
     kick.add_argument("--threshold", type=float, metavar="X", default=1.0e-3)
     kick.set_defaults(func=_cmd_kick_ratio)
 

@@ -25,14 +25,14 @@ pair i:
    combine into the CHSH statistic
    S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
-The pairs travel as one ``PairTable`` of numpy columns: ``prepare_pairs``
-fills it from each pair's two ``read_times`` instants, ``transport_views``
-transports its views in chunks, for runs and dumps alike, the outcomes
-join it as two more columns, and the cells, singles and events.csv are
-read from it. Every random draw comes
-from a stream derived from (master_seed, role, index), so reruns with
-one seed are reproducible pair by pair. The worker count is accepted
-for compatibility and changes nothing.
+``run_batch`` reads as draw, prepare, transport, tally. ``pair_draws``
+runs once per distinct (master_seed, n_pairs, packet_width);
+``prepare_pairs`` fills a config's ``PairTable`` of numpy columns from
+its draws and each pair's two ``read_times``; ``transport_views`` moves
+the views in chunks, for runs and dumps alike; ``_tally`` counts cells
+from the outcome products. Every draw comes from a stream derived from
+(master_seed, role, index), so reruns with one seed are reproducible
+pair by pair. The worker count is accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -123,6 +123,9 @@ def kick_ratio(beam_speed: float, light_speed: float = LIGHT_SPEED) -> float:
         raise ConfigError("speeds must be positive")
     if beam_speed > light_speed:
         raise ConfigError("beam_speed must not exceed light_speed")
+    if math.isinf(beam_speed + light_speed):
+        # the sum overflows; halving both is exact this close to the float ceiling
+        beam_speed, light_speed = beam_speed / 2.0, light_speed / 2.0
     return beam_speed / (beam_speed + light_speed)
 
 
@@ -670,7 +673,11 @@ def _check_reads(cfg: ExperimentConfig, timelines: SettingTimelines, launches: n
                     f"at magnet entry")
 
 
-def prepare_pairs(cfg: ExperimentConfig, draws: dict | None = None) -> PairTable:
+def _draw_key(cfg: ExperimentConfig) -> tuple[int, int, float]:
+    return cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width
+
+
+def prepare_pairs(cfg: ExperimentConfig, draws: tuple | None = None) -> PairTable:
     """Draw, switch, propagate information, and apply losses for each pair.
 
     Pairs that lose a particle are still prepared in full; their
@@ -678,15 +685,10 @@ def prepare_pairs(cfg: ExperimentConfig, draws: dict | None = None) -> PairTable
     reach the detectors. The switching and loss columns come from
     ``setting_timelines`` and ``survival``. Each pair's angles are read
     at its two ``read_times``; ``_check_reads`` refuses the reads that
-    transport cannot honour. ``draws`` is a dict that the calls of one
-    batch pass along, so that ``pair_draws`` runs once per (master_seed,
-    n_pairs, packet_width).
+    transport cannot honour. ``draws`` is this config's ``pair_draws``
+    tuple, drawn here when None.
     """
-    key = (cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width)
-    draws = {} if draws is None else draws
-    if key not in draws:
-        draws[key] = pair_draws(*key)
-    a_rand, b_rand, z_l0, z_r0 = draws[key]
+    a_rand, b_rand, z_l0, z_r0 = pair_draws(*_draw_key(cfg)) if draws is None else draws
     timelines = setting_timelines(cfg, (a_rand, b_rand))
     launches = _launches(cfg)
     t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
@@ -821,17 +823,20 @@ def _counted(table: PairTable) -> np.ndarray:
     return table.survived_a & table.survived_b & (table.a_index >= 0) & (table.b_index >= 0)
 
 
-def _tally(table: PairTable) -> dict:
-    """A transported table's cells, singles, coincidences and off-menu count."""
+def _tally(table: PairTable, products: np.ndarray) -> dict:
+    """A table's cells, singles, coincidences and off-menu count.
+
+    ``products[k]`` is pair k's addend to its cell sum, read only where
+    ``_counted`` holds. Sums keep its dtype (exact ints for o_A*o_B).
+    """
     on_menu = (table.a_index >= 0) & (table.b_index >= 0)
     cell = 2 * table.a_index + table.b_index
     counted = _counted(table)
-    # sums of +-1 products are exact in float64
-    products = (table.outcome_a * table.outcome_b)[counted]
+    sums = np.zeros(4, dtype=products.dtype)
+    np.add.at(sums, cell[counted], products[counted])
     return dict(
         cell_counts=tuple(np.bincount(cell[counted], minlength=4).tolist()),
-        cell_sums=tuple(np.bincount(cell[counted], weights=products,
-                                    minlength=4).astype(int).tolist()),
+        cell_sums=tuple(sums.tolist()),
         cell_launches=tuple(np.bincount(cell[on_menu], minlength=4).tolist()),
         singles_a=int(table.survived_a.sum()),
         singles_b=int(table.survived_b.sum()),
@@ -861,8 +866,9 @@ def run_batch(configs: list[ExperimentConfig],
     the counted pairs.
     """
     start = time.perf_counter()
-    draws = {}
-    tables = [prepare_pairs(cfg, draws) for cfg in configs]
+    # each distinct key is drawn once; table1's two lossy rows share one
+    draws = {key: pair_draws(*key) for key in dict.fromkeys(map(_draw_key, configs))}
+    tables = [prepare_pairs(cfg, draws[_draw_key(cfg)]) for cfg in configs]
     # the menu draws are read only by prepare; free them before transport
     del draws
     needed = None if every_outcome else [_counted(table) for table in tables]
@@ -870,7 +876,7 @@ def run_batch(configs: list[ExperimentConfig],
     tables = [replace(table, outcome_a=_outcomes(z_l, view[:, 0]),
                       outcome_b=_outcomes(z_r, view[:, 1]))
               for table, view in zip(tables, views)]
-    tallies = [_tally(table) for table in tables]
+    tallies = [_tally(t, t.outcome_a * t.outcome_b) for t in tables]
     runtime_s = time.perf_counter() - start
     return [ExperimentReport(config=cfg, records=table, **tally, systems=len(z_l),
                              runtime_s=runtime_s)

@@ -237,7 +237,10 @@ def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
             rows[i + 1] = y
     else:
         _fill_by_step_map(rows, _step_map(rhs, dt))
-    return SpringTrajectory(np.arange(rows.shape[0]) * dt, *rows.T)
+    # a float arange scaled in place holds no int64 index array beside the result
+    t = np.arange(rows.shape[0], dtype=float)
+    t *= dt
+    return SpringTrajectory(t, *rows.T)
 
 
 def center_of_mass_spring(params: HookeParams, duration: float, dt: float) -> SpringTrajectory:

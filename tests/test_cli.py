@@ -217,6 +217,16 @@ def test_kick_ratio_command(capsys):
     assert "lost" in capsys.readouterr().out
 
 
+def test_kick_ratio_command_where_the_speeds_sum_past_the_float_range(capsys):
+    # 1e308 + 1e308 overflows; equal speeds still give exactly one half
+    assert main(["kick-ratio", "--speed", "1e308", "--light-speed", "1e308"]) == 0
+    assert capsys.readouterr().out == (
+        "beam_speed = 1e+308 cm/s\n"
+        "light_speed = 1e+308 cm/s\n"
+        "kick_ratio = 0.5\n"
+        "threshold = 0.001 -> lost on switch (inefficient mode)\n")
+
+
 @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
 def test_kick_ratio_rejects_bad_threshold(capsys, threshold):
     assert main(["kick-ratio", "--threshold", threshold]) == 2
@@ -591,6 +601,21 @@ def test_table1_command(tmp_path, capsys):
     for row in doc["rows"]:
         assert set(row["per_setting"]) == {"ab", "ab'", "a'b", "a'b'"}
     assert (out / "manifest.json").exists()
+
+
+# sha256 of table1.json from `table1 --pairs 200`; the file holds only
+# seeds, counts and ratios of integer sums, so it pins every row bit for bit
+GOLDEN_TABLES = {
+    7: "d36dc4df6e74fd365aba120bab344e2c44b18a0d1d3105599f1440e8a14f213a",
+    5_000_000_000: "838b3a16c694d7f245d32425fcbedc6ebf6e5fd688c2e3763f81056d6d4a0b2e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TABLES))
+def test_golden_table1(seed, tmp_path):
+    assert main(["table1", "--pairs", "200", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "table1.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TABLES[seed]
 
 
 def test_table1_has_no_workers_flag(tmp_path, capsys):

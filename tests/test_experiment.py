@@ -84,6 +84,26 @@ def test_kick_ratio_validation():
         kick_ratio(math.inf)
 
 
+def test_kick_ratio_where_the_speeds_sum_past_the_float_range():
+    # 1e308 + 1e308 and 9e307 + 1e308 overflow to inf, which gave a ratio of 0
+    assert kick_ratio(1.0e308, 1.0e308) == 0.5
+    assert kick_ratio(9.0e307, 1.0e308) == pytest.approx(9.0 / 19.0, rel=1e-15)
+    assert kick_ratio(8.0e307, 9.0e307) == 8.0e307 / (8.0e307 + 9.0e307)
+
+
+def test_a_run_where_the_speeds_sum_past_the_float_range_loses_switched_particles():
+    # the kick is about 0.47, far above the threshold, so every switched
+    # magnet loses its particle; an overflowed ratio of 0 lost none
+    cfg = ExperimentConfig(physics=replace(SILVER, beam_speed=9.0e307, light_speed=1.0e308),
+                           dt=3.0e-309, n_pairs=400, master_seed=3,
+                           efficiency=Efficiency.INEFFICIENT)
+    quiet = quiescent_config(cfg)
+    # the baseline as run-epr --rates forms it
+    rates = count_rates(run_epr(cfg), survival(quiet, setting_timelines(quiet)))
+    assert (rates.q1, rates.c2) == (1.0, 1.0)
+    assert (rates.q1p, rates.c2p) == (0.4675, 0.2075)
+
+
 def test_detector_loss_truth_table():
     # efficient detection never loses
     assert detector_loss(True, Efficiency.EFFICIENT, 1.0e4, LIGHT_SPEED, 0.0)
@@ -911,6 +931,74 @@ def test_a_batch_draws_each_shared_seed_once(monkeypatch):
     distinct = {(cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width) for cfg in configs}
     assert len(distinct) == 3
     assert sorted(calls) == sorted(distinct)
+
+
+def _joint_products(table):
+    """J = 2*s2 - 1 for a pair whose two views weigh alike, else 0, from view_systems."""
+    rows = view_systems(table)
+    a_view, b_view = rows[0::2, 2:], rows[1::2, 2:]
+    agree = (a_view == b_view).all(axis=1)
+    return np.where(agree, 2.0 * a_view[:, 0] - 1.0, 0.0), agree
+
+
+TALLY_CONFIGS = [
+    ExperimentConfig(n_pairs=120, master_seed=58, mode=InformationMode.LOCAL,
+                     efficiency=Efficiency.INEFFICIENT, kick_threshold=0.0),
+    # the golden explicit_off_menu run: 60 pairs fall out of every cell
+    ExperimentConfig(n_pairs=200, master_seed=1618, mode=InformationMode.LOCAL,
+                     switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+                     explicit_a=((-math.inf, 0.0), (0.6, 0.3), (1.2, math.pi / 2.0))),
+]
+
+
+@pytest.mark.parametrize("cfg", TALLY_CONFIGS, ids=["lossy", "off_menu"])
+def test_tally_sums_float_products_as_a_recount_does(cfg):
+    # a prepared table has no outcomes; _tally reads only the products given
+    table = prepare_pairs(cfg)
+    products, agree = _joint_products(table)
+    launches, counts, sums = [0] * 4, [0] * 4, [0.0] * 4
+    rows = zip(table.a_index.tolist(), table.b_index.tolist(), table.survived_a.tolist(),
+               table.survived_b.tolist(), products.tolist())
+    for a_index, b_index, survived_a, survived_b, product in rows:
+        if a_index >= 0 and b_index >= 0:
+            launches[2 * a_index + b_index] += 1
+            if survived_a and survived_b:
+                counts[2 * a_index + b_index] += 1
+                sums[2 * a_index + b_index] += product
+    tally = experiment_mod._tally(table, products)
+    assert tally["cell_launches"] == tuple(launches)
+    assert tally["cell_counts"] == tuple(counts)
+    assert tally["cell_sums"] == tuple(sums)
+    assert all(type(s) is float for s in tally["cell_sums"])
+    counted = experiment_mod._counted(table)
+    # the table has pairs with split views and pairs outside every cell
+    assert (~agree).any() and not counted.all()
+    for junk in (math.nan, 1.0e308, -math.inf):
+        assert experiment_mod._tally(table, np.where(counted, products, junk)) == tally
+
+
+@pytest.mark.parametrize("cfg", TALLY_CONFIGS, ids=["lossy", "off_menu"])
+def test_tally_of_outcome_products_gives_the_reports_int_sums(cfg):
+    report = run_epr(cfg)
+    t = report.records
+    products = t.outcome_a * t.outcome_b
+    sums = experiment_mod._tally(t, products)["cell_sums"]
+    assert sums == report.cell_sums and all(type(s) is int for s in sums)
+    assert experiment_mod._tally(t, products.astype(float))["cell_sums"] == sums
+
+
+@pytest.mark.parametrize("policy", [SwitchPolicy.PER_PAIR_RANDOM, SwitchPolicy.STATIC])
+def test_prepare_pairs_takes_the_draws_it_is_handed(monkeypatch, policy):
+    cfg = ExperimentConfig(n_pairs=50, master_seed=9, mode=InformationMode.LOCAL,
+                           switch_policy_a=policy, switch_policy_b=policy)
+    draws = pair_draws(cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width)
+    drawn_here = prepare_pairs(cfg)
+
+    def refused(*args):
+        raise AssertionError("prepare_pairs drew again")
+
+    monkeypatch.setattr(experiment_mod, "pair_draws", refused)
+    assert prepare_pairs(cfg, draws) == drawn_here
 
 
 def test_a_batch_that_counts_no_pair_transports_nothing():

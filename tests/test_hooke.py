@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_retarded_csv_is_pinned(tmp_path):
     assert digest == "16e2f90f14a1817379afa9e79177f45cc083f72c01b270817d1a4f309a59f62b"
 
 
+# sha256 of the history-free couplings' CSVs at `hooke-demo --periods 2`
+# (default tau 0.05); a change that moves a row must re-pin them and say so
+GOLDEN_SPRING_CSVS = {
+    "instantaneous": "76a95d0d8a10b5de51c66778b44286809b0183929f4b641ab775b5895397eaef",
+    "expanded": "17c1412b1b6ee16b5ddb41685d0e0ea9eda5e172663377987b105e97e8dd796e",
+    "cm": "69f4dd4bab3798f30da9e4955df857e051a7dc2f29cea0bb43d749d20b805993",
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(GOLDEN_SPRING_CSVS))
+def test_step_map_csvs_are_pinned(tmp_path, coupling):
+    assert main(["hooke-demo", "--coupling", coupling, "--periods", "2",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"hooke_{coupling}.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SPRING_CSVS[coupling]
+
+
 @pytest.mark.parametrize("mode, delay", [(SpringMode.INSTANTANEOUS, 0.0),
                                          (SpringMode.RETARDED, PERIOD / 50.0)])
 def test_trajectory_columns_share_one_row_buffer(mode, delay):
@@ -211,6 +229,24 @@ def test_trajectory_columns_share_one_row_buffer(mode, delay):
     assert rows is not None and rows.shape == (len(traj.t), 4)
     assert all(col.base is rows and np.may_share_memory(col, traj.x1)
                for col in (traj.v1, traj.x2, traj.v2))
+
+
+@pytest.mark.parametrize("mode", [SpringMode.INSTANTANEOUS, SpringMode.RETARDED])
+def test_a_spring_run_peaks_at_its_five_float_columns(mode):
+    # the hooke-demo grids at --periods 40: 80 001 and 13 405 rows. The
+    # result holds 40 B a row (t and the four row columns); an int64 index
+    # array formed beside t would raise the peak to about 49 and 53 B a row
+    p = HookeParams(delay=0.05)
+    dt = p.delay / 8.0 if mode is SpringMode.RETARDED else p.period / 2000.0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = simulate_spring(p, mode, 40.0 * p.period, dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj.t) == (80_001 if mode is SpringMode.INSTANTANEOUS else 13_405)
+    assert peak <= 42 * len(traj.t)
 
 
 def test_printed_drift_matches_energy_over_every_row(tmp_path, capsys):
