@@ -54,8 +54,8 @@ from .experiment import (
     check_kick_threshold,
     check_seed,
     count_rates,
-    detector_loss,
     kick_ratio,
+    lost_on_switch,
     prepare_pairs,
     quiescent_config,
     report_json_dict,
@@ -493,8 +493,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_kick_ratio(args: argparse.Namespace) -> int:
     ratio = kick_ratio(args.speed, args.light_speed)
-    lost = not detector_loss(True, Efficiency.INEFFICIENT, args.speed, args.light_speed,
-                             check_kick_threshold(args.threshold, "--threshold"))
+    lost = lost_on_switch(Efficiency.INEFFICIENT, args.speed, args.light_speed,
+                          check_kick_threshold(args.threshold, "--threshold"))
     print(f"beam_speed = {args.speed!r} cm/s")
     print(f"light_speed = {args.light_speed!r} cm/s")
     print(f"kick_ratio = {ratio!r}")

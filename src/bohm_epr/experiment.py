@@ -129,6 +129,17 @@ def kick_ratio(beam_speed: float, light_speed: float = LIGHT_SPEED) -> float:
     return beam_speed / (beam_speed + light_speed)
 
 
+def lost_on_switch(efficiency: Efficiency, beam_speed: float, light_speed: float,
+                   kick_threshold: float) -> bool:
+    """Whether a switch of its own analyzer during the flight loses the particle.
+
+    Efficient detection loses nothing. Inefficient detection loses the
+    particle when the kick is at or above the threshold.
+    """
+    return (efficiency is Efficiency.INEFFICIENT
+            and kick_ratio(beam_speed, light_speed) >= kick_threshold)
+
+
 def detector_loss(
     switched: bool,
     efficiency: Efficiency,
@@ -136,15 +147,8 @@ def detector_loss(
     light_speed: float,
     kick_threshold: float,
 ) -> bool:
-    """Whether the particle survives into the detected beam.
-
-    Efficient detection survives everything. Inefficient detection loses
-    the particle when its own analyzer switched during the flight and the
-    kick is at or above the threshold.
-    """
-    if efficiency is Efficiency.EFFICIENT or not switched:
-        return True
-    return kick_ratio(beam_speed, light_speed) < kick_threshold
+    """Whether the particle survives into the detected beam: not switched, or not lost by it."""
+    return not (switched and lost_on_switch(efficiency, beam_speed, light_speed, kick_threshold))
 
 
 def check_kick_threshold(value: float, name: str = "kick_threshold") -> float:
@@ -611,21 +615,21 @@ def survival(cfg: ExperimentConfig, timelines: SettingTimelines) -> Survival:
     """Switches during each flight [launch, entry], and the losses they cause.
 
     A side switched when its timeline changes inside the closed window;
-    ``detector_loss`` then decides whether its particle is lost. No pair
+    ``lost_on_switch`` then decides whether its particle is lost. No pair
     stream is drawn and nothing is transported.
     """
     launches = _launches(cfg)
     t_entry = launches + cfg.flight_time
     switched_a = timelines.side_a.changes_in(launches, t_entry)
     switched_b = timelines.side_b.changes_in(launches, t_entry)
-    lost_on_switch = not detector_loss(True, cfg.efficiency, cfg.physics.beam_speed,
-                                       cfg.physics.light_speed, cfg.kick_threshold)
+    lost = lost_on_switch(cfg.efficiency, cfg.physics.beam_speed, cfg.physics.light_speed,
+                          cfg.kick_threshold)
     return Survival(
         config=cfg,
         switched_a=switched_a,
         switched_b=switched_b,
-        survived_a=~(switched_a & lost_on_switch),
-        survived_b=~(switched_b & lost_on_switch),
+        survived_a=~(switched_a & lost),
+        survived_b=~(switched_b & lost),
     )
 
 

@@ -34,8 +34,9 @@ lie in [-1, 1]; the direct branch is clamped to that range.
 points are thin wrappers of it. It takes n systems as one (2, n) array
 z = [z_l; z_r], so each step of the formula is one numpy call: [u; v] is
 one array, the direct branch one sinh and one cosh of it, the factored
-branch one exp of [u; v; -u; -v] - m. Each element evaluates only its
-own branch.
+branch one exp of [u; v; -u; -v] - m. A batch whose elements all need
+one branch evaluates only that one; a mixed batch evaluates both forms on
+every column and keeps each element's own, with the same bits.
 
 For exactly aligned analyzers (s2 == 0) the law collapses to
 
@@ -232,25 +233,20 @@ def _factored(uv: np.ndarray, m: np.ndarray, w: np.ndarray,
 def _ratios(uv: np.ndarray, weights: BatchWeights) -> np.ndarray:
     """Both coupling ratios [r_L; r_R] of the (2, n) arguments uv = [u; v].
 
-    A batch that is all factored or all direct runs one branch on the
-    whole arrays, a mixed batch each branch on its own columns (NaN goes
-    to the factored one), so no element depends on the other columns.
+    A batch that is all factored or all direct runs one branch. A mixed
+    batch runs both on every column and keeps each element's own (NaN
+    takes the factored one); both are elementwise, so no element depends
+    on the other columns, and the branch an element does not take may
+    overflow unseen.
     """
     m = np.maximum(*np.abs(uv))
     if np.minimum.reduce(m, initial=np.inf) > _DIRECT_LIMIT:
         return _factored(uv, m, weights.rows, weights.positive)
     if np.maximum.reduce(m) <= _DIRECT_LIMIT:
         return _direct(uv, weights.rows[0])
-    # take: fancy indexing on a later axis is slower and need not be C-contiguous
-    small = m <= _DIRECT_LIMIT
-    lo, hi = np.flatnonzero(small), np.flatnonzero(~small)
-    high = weights.take(hi)
-    parts = (_direct(uv.take(lo, axis=1), weights.rows[0].take(lo, axis=1)),
-             _factored(uv.take(hi, axis=1), m[hi], high.rows, high.positive))
-    r = np.empty_like(uv)
-    for cols, part in zip((lo, hi), parts):
-        r[0, cols], r[1, cols] = part
-    return r
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(m <= _DIRECT_LIMIT, _direct(uv, weights.rows[0]),
+                        _factored(uv, m, weights.rows, weights.positive))
 
 
 def guidance_ratios(t: float, z: np.ndarray, weights: BatchWeights,

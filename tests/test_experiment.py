@@ -36,12 +36,14 @@ from bohm_epr import (
     table1_run,
     write_events_csv,
 )
+from bohm_epr.cli import main
 from bohm_epr.experiment import (
     CELL_LABELS,
     EVENT_HEADER,
     PairTable,
     _first_appearances,
     init_stream,
+    lost_on_switch,
     pair_draws,
     pair_stream,
     prepare_pairs,
@@ -104,7 +106,7 @@ def test_a_run_where_the_speeds_sum_past_the_float_range_loses_switched_particle
     assert (rates.q1p, rates.c2p) == (0.4675, 0.2075)
 
 
-def test_detector_loss_truth_table():
+def test_detector_loss_truth_table(capsys):
     # efficient detection never loses
     assert detector_loss(True, Efficiency.EFFICIENT, 1.0e4, LIGHT_SPEED, 0.0)
     # an unswitched magnet never loses
@@ -115,6 +117,24 @@ def test_detector_loss_truth_table():
     assert not detector_loss(True, Efficiency.INEFFICIENT, 1.0e4, LIGHT_SPEED, 0.0)
     # a fast beam crosses a realistic threshold
     assert not detector_loss(True, Efficiency.INEFFICIENT, 1.0e7, LIGHT_SPEED, 1.0e-4)
+    # a threshold equal to the kick loses the particle and one ulp above it keeps it,
+    # alike in the predicate, survival (inefficient, switching) and the kick-ratio command
+    cfg = ExperimentConfig(n_pairs=8, efficiency=Efficiency.INEFFICIENT)
+    v, c = cfg.physics.beam_speed, cfg.physics.light_speed
+    kick = kick_ratio(v, c)
+    switching = np.arange(cfg.n_pairs) % 2
+    for threshold, lost in ((kick, True), (float(np.nextafter(kick, math.inf)), False)):
+        assert lost_on_switch(Efficiency.INEFFICIENT, v, c, threshold) is lost
+        assert detector_loss(True, Efficiency.INEFFICIENT, v, c, threshold) is not lost
+        run = replace(cfg, kick_threshold=threshold)
+        split = survival(run, setting_timelines(run, menu_draws=(switching, switching)))
+        assert split.switched_a.any() and split.switched_b.any()
+        assert np.array_equal(split.survived_a, ~(split.switched_a & lost))
+        assert np.array_equal(split.survived_b, ~(split.switched_b & lost))
+        assert main(["kick-ratio", "--speed", repr(v), "--light-speed", repr(c),
+                     "--threshold", repr(threshold)]) == 0
+        verdict = "lost" if lost else "kept"
+        assert capsys.readouterr().out.endswith(f" -> {verdict} on switch (inefficient mode)\n")
 
 
 def test_chsh_known_values():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bohm_epr.velocity as velocity_mod
 from bohm_epr import (
     ConfigError,
     IntegrationConfig,
@@ -244,7 +245,7 @@ def test_batch_recording_matches_unrecorded_exit():
     assert np.array_equal(track_l[2], mid_l) and np.array_equal(track_r[2], mid_r)
 
 
-def test_batch_is_deterministic_and_chunkable():
+def test_batch_is_deterministic_and_chunkable(monkeypatch):
     rng = np.random.default_rng(31)
     n = 24
     z_l0 = rng.normal(0.0, 1.0e-3, size=n)
@@ -252,7 +253,19 @@ def test_batch_is_deterministic_and_chunkable():
     s2 = rng.uniform(0.0, 1.0, size=n)
     c2 = 1.0 - s2
     cfg = IntegrationConfig(dt=1.0e-6, duration=3.0e-4)
-    full = integrate_batch(z_l0, z_r0, s2, c2, CO, cfg)
+    mixed = []
+    ratios = velocity_mod._ratios
+
+    def counting(uv, weights):
+        m = np.maximum(*np.abs(uv))
+        mixed.append(m.min() <= velocity_mod._DIRECT_LIMIT < m.max())
+        return ratios(uv, weights)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(velocity_mod, "_ratios", counting)
+        full = integrate_batch(z_l0, z_r0, s2, c2, CO, cfg)
+    # the split below is only a test if the whole batch takes both branches at once
+    assert any(mixed)
     again = integrate_batch(z_l0, z_r0, s2, c2, CO, cfg)
     assert np.array_equal(full[0], again[0]) and np.array_equal(full[1], again[1])
     first = integrate_batch(z_l0[:10], z_r0[:10], s2[:10], c2[:10], CO, cfg)

@@ -1,0 +1,92 @@
+"""Print one sha256 per output file and per stdout of the benchmark's workloads.
+
+    python3 tools/output_digests.py [--root TREE] [--seeds 0 101 ...] > digests.json
+
+Runs each operation of ``table1``, ``rates_fast_beam`` and
+``trajectories_spring`` (as ``perfbench/workloads.py`` lists them) once
+per seed through ``bohm_epr.cli.main`` of the source tree TREE (default:
+the checkout this script lives in), in a temporary directory. Before
+hashing, it drops the keys ``runtime_s``, ``started_utc`` and
+``finished_utc`` from every JSON object at any depth, and replaces the
+temporary directory's path with ``<tmp>`` in stdout and in every file;
+a JSON file is hashed as its stripped value, re-serialised in key order,
+so a change of its layout alone does not show. Two trees give the same
+outputs on these workloads when their JSON digests compare equal:
+
+    python3 tools/output_digests.py --root ../parent > before.json
+    python3 tools/output_digests.py > after.json
+    diff before.json after.json
+
+The workload list is read from ``TREE/perfbench/workloads.py``, so both
+trees run the operations that tree's benchmark runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+VOLATILE = ("runtime_s", "started_utc", "finished_utc")
+DEFAULT_SEEDS = (0, 101, 614, 2**64 - 1)
+
+
+def _strip(doc):
+    """The JSON value ``doc`` without the VOLATILE keys at any depth."""
+    if isinstance(doc, dict):
+        return {k: _strip(v) for k, v in doc.items() if k not in VOLATILE}
+    if isinstance(doc, list):
+        return [_strip(v) for v in doc]
+    return doc
+
+
+def _digest(data: bytes, tmp: str, is_json: bool) -> str:
+    data = data.replace(tmp.encode(), b"<tmp>")
+    if is_json:
+        data = json.dumps(_strip(json.loads(data))).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(root: str, seeds) -> dict:
+    """{workload: {seed: {label: {"exit": code, "stdout": sha, "<file>": sha}}}}."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import bohm_epr.cli as cli
+    import workloads
+    result = {}
+    for workload in workloads.WORKLOADS:
+        per_seed = result[workload] = {}
+        for seed in seeds:
+            ops = per_seed[str(seed)] = {}
+            with tempfile.TemporaryDirectory() as tmp:
+                out_root = os.path.join(tmp, "out")
+                for op in workloads.operations(workload, seed, tmp, out_root):
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        code = cli.main(list(op.argv))
+                    entry = ops[op.label] = {
+                        "exit": code,
+                        "stdout": _digest(buf.getvalue().encode(), tmp, False)}
+                    for name in sorted(os.listdir(op.out_dir)):
+                        with open(os.path.join(op.out_dir, name), "rb") as fh:
+                            entry[name] = _digest(fh.read(), tmp, name.endswith(".json"))
+    return result
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   help="source tree to run (default: this checkout)")
+    p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS, metavar="SEED")
+    args = p.parse_args()
+    json.dump(digests(os.path.abspath(args.root), args.seeds), sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
