@@ -29,10 +29,10 @@ pair i:
 runs once per distinct (master_seed, n_pairs, packet_width);
 ``prepare_pairs`` fills a config's ``PairTable`` of numpy columns from
 its draws and each pair's two ``read_times``; ``transport_views`` moves
-the views in chunks, for runs and dumps alike; ``_tally`` counts cells
-from the outcome products. Every draw comes from a stream derived from
-(master_seed, role, index), so reruns with one seed are reproducible
-pair by pair. The worker count is accepted and changes nothing.
+the views one block of pairs at a time, for runs and dumps alike; ``_tally``
+counts cells from the outcome products. Every draw comes from a stream
+derived from (master_seed, role, index), so reruns with one seed are
+reproducible pair by pair. The worker count is accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ _BATCH_CHUNK = 4096
 _PAIR_STREAM = 0
 _INIT_STREAM = 1
 DEFAULT_SEED = 12345
-# A local-mode run peaks at about 0.35 kB per pair (measured at 200 000
-# pairs), so 10**7 pairs is about 3.5 GB. The seeding also needs every
-# pair id to be one 32-bit SeedSequence word, which caps it at 2**32.
+# A local-mode run with events grows its resident set by about 0.2 kB a
+# pair (41 MiB at 200 000 pairs, 161 B a pair traced), so 10**7 pairs is
+# about 2 GB. The seeding caps it at 2**32: a pair id is one 32-bit SeedSequence word.
 _MAX_PAIRS = 10**7
 
 # NumPy's SeedSequence (NEP 19) at its default pool of four 32-bit words
@@ -717,19 +717,21 @@ def prepare_pairs(cfg: ExperimentConfig, draws: tuple | None = None) -> PairTabl
     )
 
 
-def view_systems(table: PairTable) -> np.ndarray:
-    """The (z_l0, z_r0, s2, c2) of every view of a table of n pairs, as a (2n, 4) array.
+def view_systems(table: PairTable, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The (z_l0, z_r0, s2, c2) of every view of pairs lo..hi-1 (default: all), as a (2m, 4) array.
 
-    Row 2k is pair k's A view and row 2k + 1 its B view; a view's
+    Row 2k is pair lo + k's A view and row 2k + 1 its B view; a view's
     trajectory depends on these four numbers alone.
     """
-    views = ((table.setting_a, table.b_seen_by_a), (table.a_seen_by_b, table.setting_b))
+    part = slice(lo, hi)
+    views = ((table.setting_a[part], table.b_seen_by_a[part]),
+             (table.a_seen_by_b[part], table.setting_b[part]))
     with np.errstate(over="ignore"):
         diff = np.column_stack([own - seen for own, seen in views]).ravel()
     if np.isinf(diff).any():
         i, k = divmod(int(np.argmax(np.isinf(diff))), 2)
         own, seen = (float(angles[i]) for angles in views[k])
-        raise ConfigError(f"pair {i}: side {'AB'[k]}'s view holds angles {own!r} and "
+        raise ConfigError(f"pair {lo + i}: side {'AB'[k]}'s view holds angles {own!r} and "
                           f"{seen!r}, whose difference overflows")
     # the weights depend on the angle difference alone, and weights() makes
     # this same subtraction; math.sin runs once per distinct difference
@@ -737,7 +739,7 @@ def view_systems(table: PairTable) -> np.ndarray:
     distinct, inverse = np.unique(diff, return_inverse=True)
     weights = np.array([SettingPair(d, 0.0).weights()
                         for d in distinct.tolist()]).reshape(-1, 2)
-    return np.column_stack((np.repeat(table.z_l0, 2), np.repeat(table.z_r0, 2),
+    return np.column_stack((np.repeat(table.z_l0[part], 2), np.repeat(table.z_r0[part], 2),
                             weights[inverse]))
 
 
@@ -752,18 +754,23 @@ def transport_views(
     Table k comes from ``configs[k]``; the configs must share physics and
     dt. ``needed[k]``, when given, is a mask over table k's pairs, and
     only the views of those pairs are transported (all, when ``needed``
-    is None). The ``view_systems`` rows of the needed pairs are kept once
-    per bit pattern, in order of first appearance, and go through the
-    transport in chunks of ``_BATCH_CHUNK``. Systems are independent, so
-    neither chunks nor batch-mates change a result. ``views[k]`` is an
-    (n, 2) array: the system of each pair's A and B view in table k, or
-    -1 for a pair not needed. With ``record_every`` > 0,
+    is None). The ``view_systems`` rows are merged one block of
+    ``_BATCH_CHUNK`` pair indices at a time, so only the results grow
+    with the run: a block's needed rows, table by table, are kept once
+    per bit pattern in order of first appearance, numbered after the
+    earlier blocks' systems. A row's only duplicates are its pair's other
+    view and the same pair in another table (equal draws need an equal
+    seed and pair id), so this keeps the systems one merge of all rows
+    would. They go through the transport in chunks of ``_BATCH_CHUNK``,
+    a block's leftovers opening the next chunk; systems are independent,
+    so neither chunks nor batch-mates change a result. ``views[k]`` is
+    an (n, 2) array: the system of each pair's A and B view in table k,
+    or -1 for a pair not needed. With ``record_every`` > 0,
     ``integrate_batch`` runs the full transit and z_l, z_r are (recorded
     step, system) arrays; otherwise they are the exits of
     ``integrate_retiring``. A divergence is raised again named by config
     (in a batch of several), pair, view and mode; its ``system_index`` is
-    the failed system's index among the call's distinct systems, the
-    column of z_l and z_r it would have filled.
+    the failed system's number, the column of z_l and z_r it would fill.
     """
     head = configs[0]
     for k, cfg in enumerate(configs):
@@ -775,30 +782,46 @@ def transport_views(
     # retired systems have no later steps to record
     integrate = integrate_batch if record_every else integrate_retiring
     offsets = np.cumsum([0] + [2 * len(table) for table in tables])
-    rows = np.concatenate([view_systems(table) for table in tables])
-    chosen = slice(None) if needed is None else np.repeat(np.concatenate(needed), 2)
-    place = np.full(len(rows), -1)
-    rows = rows[chosen]
-    keep, place[chosen] = _first_appearances(rows)
-    rows = rows[keep]
-    m = len(rows)
-    shape = (len(icfg.recorded_steps()), m) if record_every else m
-    z_l, z_r = np.empty(shape), np.empty(shape)
-    for lo in range(0, m, _BATCH_CHUNK):
-        hi = min(lo + _BATCH_CHUNK, m)
-        try:
-            z_l[..., lo:hi], z_r[..., lo:hi] = integrate(*rows[lo:hi].T, coeff, icfg)
-        except IntegrationDiverged as err:
-            index = lo + (err.system_index or 0)
-            row = int(np.argmax(place == index))  # the system's first appearance
-            k = int(np.searchsorted(offsets, row, side="right")) - 1
-            pair, side = divmod(row - int(offsets[k]), 2)
-            # the offsets are even, so row ^ 1 is the pair's other view
-            view = "A and B" if place[row] == place[row ^ 1] else "AB"[side]
-            where = f"config {k}, " if len(configs) > 1 else ""
-            raise IntegrationDiverged(
-                step=err.step, system_index=index,
-                detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
+    wanted = None if needed is None else np.repeat(np.concatenate(needed), 2)
+    place = np.full(offsets[-1], -1)
+    # (z_l, z_r) of each chunk, after an empty pair that shapes a call of no system
+    exits = [(np.empty((len(icfg.recorded_steps()), 0) if record_every else 0),) * 2]
+    pending = np.empty((_BATCH_CHUNK, 4))
+    m = fill = 0  # systems numbered so far, and how many of them wait in pending
+    blocks = range(0, max(map(len, tables)), _BATCH_CHUNK)
+    try:
+        for lo in blocks:
+            hi = lo + _BATCH_CHUNK
+            at = np.concatenate([np.arange(2 * lo, 2 * min(hi, len(table))) + off
+                                 for table, off in zip(tables, offsets.tolist())])
+            rows = np.concatenate([view_systems(table, lo, hi) for table in tables])
+            if wanted is not None:
+                rows, at = rows[wanted[at]], at[wanted[at]]
+            keep, first = _first_appearances(rows)
+            place[at] = m + first
+            new = rows[keep]
+            del rows, at, first
+            m += len(new)
+            while len(new) or (fill and lo == blocks[-1]):
+                take = min(_BATCH_CHUNK - fill, len(new))
+                pending[fill:fill + take], new = new[:take], new[take:]
+                fill += take
+                if fill < _BATCH_CHUNK and lo != blocks[-1]:
+                    break
+                start, size, fill = m - len(new) - fill, fill, 0
+                exits.append(integrate(*pending[:size].T, coeff, icfg))
+    except IntegrationDiverged as err:
+        index = start + (err.system_index or 0)
+        row = int(np.argmax(place == index))  # the system's first appearance
+        k = int(np.searchsorted(offsets, row, side="right")) - 1
+        pair, side = divmod(row - int(offsets[k]), 2)
+        # the offsets are even, so row ^ 1 is the pair's other view
+        view = "A and B" if place[row] == place[row ^ 1] else "AB"[side]
+        where = f"config {k}, " if len(configs) > 1 else ""
+        raise IntegrationDiverged(
+            step=err.step, system_index=index,
+            detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
+    z_l, z_r = (np.concatenate(side, axis=-1) for side in zip(*exits))
     return z_l, z_r, [views.reshape(-1, 2) for views in np.split(place, offsets[1:-1])]
 
 
@@ -980,20 +1003,26 @@ def _angle_text(angles: np.ndarray) -> list[str]:
 
 
 def write_events_csv(report: ExperimentReport, path) -> None:
-    """One line per launched pair, in launch order; every pair must have been transported."""
+    """One line per launched pair, in launch order; every pair must have been transported.
+
+    Lines are formed one block of ``_BATCH_CHUNK`` pairs at a time.
+    """
     t = report.records
     missing = (t.outcome_a == 0) | (t.outcome_b == 0)
     if missing.any():
         raise ValueError(f"pair {int(np.argmax(missing))} was not transported (outcome 0); "
                          f"events need run_batch(..., every_outcome=True)")
-    columns = zip(t.pair_id.tolist(),
-                  *map(_angle_text, (t.setting_a, t.setting_b, t.b_seen_by_a, t.a_seen_by_b)),
-                  t.outcome_a.tolist(), t.outcome_b.tolist(),
-                  t.survived_a.astype(int).tolist(), t.survived_b.astype(int).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(EVENT_HEADER + "\n")
-        fh.writelines(f"{i},{a},{b},{b_seen},{a_seen},{o_a},{o_b},{s_a},{s_b}\n"
-                      for i, a, b, b_seen, a_seen, o_a, o_b, s_a, s_b in columns)
+        for lo in range(0, len(t), _BATCH_CHUNK):
+            part = slice(lo, lo + _BATCH_CHUNK)
+            columns = zip(t.pair_id[part].tolist(),
+                          *(_angle_text(angles[part]) for angles in (
+                              t.setting_a, t.setting_b, t.b_seen_by_a, t.a_seen_by_b)),
+                          *(flags[part].astype(int).tolist() for flags in (
+                              t.outcome_a, t.outcome_b, t.survived_a, t.survived_b)))
+            fh.writelines(f"{i},{a},{b},{b_seen},{a_seen},{o_a},{o_b},{s_a},{s_b}\n"
+                          for i, a, b, b_seen, a_seen, o_a, o_b, s_a, s_b in columns)
 
 
 TABLE1_ROWS = (

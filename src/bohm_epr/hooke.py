@@ -46,14 +46,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationDiverged
 from .integrate import IntegrationConfig, rk4_step
 from .physconst import check_finite_fields
 
 
-# Rows filled per block by the step-map powers T^1 ... T^_BLOCK: large
-# enough that the Python loop over blocks is cheap, small enough that the
-# powers take only about 74 kB.
+# Rows filled per block by the step-map powers T^1 ... T^_BLOCK, and per
+# divergence check on every path: large enough that the Python loop over
+# blocks is cheap, small enough that the powers take only about 74 kB.
 _BLOCK = 256
 
 
@@ -198,6 +198,12 @@ def _step_map(rhs, dt: float) -> np.ndarray:
     return t_map
 
 
+def _check_rows(rows: np.ndarray, first: int) -> None:
+    """Raise IntegrationDiverged at the first non-finite row; ``rows`` starts at row ``first``."""
+    if not np.isfinite(rows).all():
+        raise IntegrationDiverged(step=first + int(np.argmin(np.isfinite(rows).all(axis=1))))
+
+
 def _fill_by_step_map(rows: np.ndarray, t_map: np.ndarray) -> None:
     """Fill rows[1:] from rows[0] with T^1 ... T^_BLOCK, one block of rows at a time.
 
@@ -213,6 +219,7 @@ def _fill_by_step_map(rows: np.ndarray, t_map: np.ndarray) -> None:
     for s in range(0, n, _BLOCK):
         block = np.einsum("kij,j->ki", powers[:min(_BLOCK, n - s)], z)
         rows[s + 1:s + 1 + len(block)] = block[:, :4]
+        _check_rows(block, s + 1)
         z = block[-1]
 
 
@@ -225,18 +232,21 @@ def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
     ``_step_map``). The retarded coupling with a delay steps one row at a
     time on a list of Python floats, since its force reads the rows
     already written: a numpy 4-vector costs more per operation than it
-    saves.
+    saves. A non-finite row raises ``IntegrationDiverged`` naming it.
     """
     rows = np.empty((spring_grid(params, mode, duration, dt).n_steps + 1, 4))
     rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
     rhs = _rhs(params, mode, rows, dt)
     if mode is SpringMode.RETARDED and params.delay > 0.0:
         y = rows[0].tolist()
-        for i in range(rows.shape[0] - 1):
-            y = rk4_step(rhs, i, dt, y)
-            rows[i + 1] = y
+        for s in range(1, rows.shape[0], _BLOCK):
+            for i in range(s, min(s + _BLOCK, rows.shape[0])):
+                y = rk4_step(rhs, i - 1, dt, y)
+                rows[i] = y
+            _check_rows(rows[s:i + 1], s)
     else:
-        _fill_by_step_map(rows, _step_map(rhs, dt))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fill_by_step_map(rows, _step_map(rhs, dt))
     # a float arange scaled in place holds no int64 index array beside the result
     t = np.arange(rows.shape[0], dtype=float)
     t *= dt

@@ -750,6 +750,20 @@ def test_hooke_demo_checks_every_grid_before_writing(tmp_path, capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--coupling", "expanded"],
+    # the instantaneous and retarded files are staged before expanded fails
+    ["--coupling", "all", "--dt", "0.001"],
+])
+def test_hooke_demo_divergence_is_a_numerical_failure_and_writes_nothing(tmp_path, capsys,
+                                                                         argv):
+    out = tmp_path / "hooke"
+    assert main(["hooke-demo", "--tau", "1e10", "--periods", "1", *argv,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite state at step 11\n"
+    assert list(out.iterdir()) == []
+
+
 def test_dump_trajectories(tmp_path):
     out = tmp_path / "dump"
     code = main(["dump-trajectories", "--pairs", "4", "--seed", "7",

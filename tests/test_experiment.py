@@ -1085,6 +1085,71 @@ def test_divergence_in_a_batch_names_the_config(monkeypatch):
                               "config 1, pair 3, view B, local mode")
 
 
+def _in_blocks_of(monkeypatch, chunk, run):
+    """``run()`` with ``_BATCH_CHUNK`` = chunk, and the row counts ``_first_appearances`` saw."""
+    monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", chunk)
+    merged = []
+
+    def counting(rows):
+        merged.append(len(rows))
+        return _first_appearances(rows)
+
+    monkeypatch.setattr(experiment_mod, "_first_appearances", counting)
+    return run(), merged
+
+
+def test_a_batch_merged_in_blocks_of_five_pairs_equals_one_block(monkeypatch):
+    configs = table1_configs(11, 23)
+    # the two inefficient rows share a seed, so their pairs merge across tables
+    assert configs[1].master_seed == configs[3].master_seed
+    runs = [_in_blocks_of(monkeypatch, chunk, lambda: run_batch(configs, every_outcome=False))
+            for chunk in (4096, 5)]
+    (whole, _), (blocked, merged) = runs
+    # five blocks, none holding more than two views of five pairs per table
+    assert len(merged) == 5 and max(merged) <= 2 * 5 * len(configs)
+    for one, many in zip(whole, blocked):
+        assert _report_text(one) == _report_text(many)
+        assert one.records == many.records
+        assert one.systems == many.systems
+
+
+def test_a_local_run_merged_in_blocks_of_five_pairs_equals_one_block(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(n_pairs=23, master_seed=5, mode=InformationMode.LOCAL)
+    (whole, _), (blocked, merged) = [_in_blocks_of(monkeypatch, chunk, lambda: run_epr(cfg))
+                                     for chunk in (4096, 5)]
+    assert len(merged) == 5 and max(merged) <= 2 * 5
+    assert whole.records == blocked.records and whole.systems == blocked.systems
+    assert (_run_bytes(whole, tmp_path / "whole.csv")
+            == _run_bytes(blocked, tmp_path / "blocked.csv"))
+
+
+def test_divergence_in_a_later_block_names_its_block_major_system(monkeypatch):
+    # in blocks of five pairs: config 0's pairs 0-4 are systems 0-4 and
+    # config 1's are 5-11 (pairs 3 and 4 have two views each); block 1 then
+    # numbers config 0's pairs 5-7 as 12-14, so pair 6 is system 13. Block
+    # 0's systems 10 and 11 open the third chunk, whose fourth system fails
+    configs = [ExperimentConfig(n_pairs=8, master_seed=1),
+               ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)]
+    monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 5)
+    views = transport_views([prepare_pairs(cfg) for cfg in configs], configs)[2]
+    assert views[0][:, 0].tolist() == [0, 1, 2, 3, 4, 12, 13, 14]
+    assert views[1][:5].tolist() == [[5, 5], [6, 6], [7, 7], [8, 9], [10, 11]]
+    real, chunks = experiment_mod.integrate_retiring, []
+
+    def failing_third_chunk(*args, **kwargs):
+        chunks.append(len(args[0]))
+        if len(chunks) == 3:
+            raise IntegrationDiverged(step=3, system_index=3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing_third_chunk)
+    with pytest.raises(IntegrationDiverged) as err:
+        run_batch(configs)
+    assert chunks == [5, 5, 5]
+    assert str(err.value) == ("non-finite state at step 3 (system 13): "
+                              "config 0, pair 6, view A and B, nonlocal mode")
+
+
 @pytest.mark.parametrize("change", [dict(dt=0.5e-6),
                                     dict(physics=replace(SILVER, beam_speed=2.0e4))])
 def test_a_batch_refuses_mixed_physics_or_dt(change):
@@ -1164,3 +1229,40 @@ def test_setting_timelines_hold_no_python_object_per_switch():
         tracemalloc.stop()
     assert len(timelines.side_a.times) > 9000 and len(timelines.side_b.times) > 9000
     assert peak < 2 * 2**20
+
+
+def _traced_growth_per_pair(tmp_path, n_small, n_large):
+    """Bytes per added pair by which the traced peaks of ``transport_views`` over its
+    input table and of ``write_events_csv`` over its report grow from n_small to
+    n_large pairs of the local fast beam."""
+    peaks = []
+    for n in (n_small, n_large):
+        cfg = ExperimentConfig(n_pairs=n, master_seed=101, mode=InformationMode.LOCAL,
+                               efficiency=Efficiency.INEFFICIENT,
+                               normalization=Normalization.COINCIDENCES, kick_threshold=0.0,
+                               physics=replace(SILVER, beam_speed=1.0e5))
+        report = run_epr(cfg)
+        peak = []
+        for call in (lambda: transport_views([report.records], [cfg]),
+                     lambda: write_events_csv(report, tmp_path / "events.csv")):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        peaks.append(peak)
+    return [(large - small) / (n_large - n_small) for small, large in zip(*peaks)]
+
+
+def test_transport_and_events_peak_grows_by_their_results_alone(tmp_path):
+    # the local fast beam from 3 to 6 blocks of 4096 pairs. transport_views
+    # returns about 38 B a pair (an (n, 2) int64 map and 1.37 systems a
+    # pair of exits): merged and transported one block at a time its peak
+    # grows by about 37 B a pair, where one merge of every row grew it by
+    # about 168 B. events.csv formed one block of lines at a time grows by
+    # about 1 B a pair, where whole-column lists grew it by about 113 B
+    transport, events = _traced_growth_per_pair(tmp_path, 3 * 4096, 6 * 4096)
+    assert transport <= 80
+    assert events <= 30

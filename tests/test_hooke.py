@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from bohm_epr import (
     ConfigError,
     HookeParams,
+    IntegrationDiverged,
     SpringMode,
     center_of_mass_spring,
     simulate_spring,
@@ -261,3 +263,21 @@ def test_printed_drift_matches_energy_over_every_row(tmp_path, capsys):
         energy = spring_energy(p, simulate_spring(p, SpringMode(name), 2 * p.period, dt))
         drift = abs(float(energy[-1] - energy[0])) / abs(float(energy[0]))
         assert printed[name] == f"{drift:.3e}"
+
+
+@pytest.mark.parametrize("mode,params,duration,dt,step", [
+    # the step-map path: hooke-demo's expanded grid at one period, where a
+    # delay this long grows the state past the float range by row 11
+    (SpringMode.EXPANDED, HookeParams(delay=1.0e10), PERIOD, PERIOD / 2000.0, 11),
+    # the step map of a spring this stiff overflows, and so does the retarded loop
+    (SpringMode.INSTANTANEOUS, HookeParams(stiffness=1.0e300), 1.0, 0.00625, 1),
+    (SpringMode.RETARDED, HookeParams(stiffness=1.0e300, delay=0.05), 1.0, 0.00625, 1),
+], ids=["expanded", "instantaneous", "retarded"])
+def test_a_diverging_spring_run_names_its_first_non_finite_row(mode, params, duration, dt,
+                                                               step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDiverged) as err:
+            simulate_spring(params, mode, duration, dt)
+    assert (err.value.step, err.value.system_index) == (step, None)
+    assert str(err.value) == f"non-finite state at step {step}"

@@ -18,7 +18,11 @@ outputs on these workloads when their JSON digests compare equal:
     diff before.json after.json
 
 The workload list is read from ``TREE/perfbench/workloads.py``, so both
-trees run the operations that tree's benchmark runs.
+trees run the operations that tree's benchmark runs. Those never leave
+the first block of ``_BATCH_CHUNK`` (4096) pairs, so the script also
+runs the fixed operations of ``BLOCKS`` under the name ``blocks``:
+``table1`` at 9000 pairs (three blocks) and a 5000-pair local dump
+(two blocks), at the program's default bench.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ import sys
 import tempfile
 
 VOLATILE = ("runtime_s", "started_utc", "finished_utc")
+# (label, argv without --seed and --out) of the operations that cross a block boundary
+BLOCKS = (
+    ("table1", ("table1", "--pairs", "9000")),
+    ("dump-trajectories", ("dump-trajectories", "--mode", "local", "--pairs", "5000",
+                           "--record-every", "300")),
+)
 DEFAULT_SEEDS = (0, 101, 614, 2**64 - 1)
 
 
@@ -52,19 +62,27 @@ def _digest(data: bytes, tmp: str, is_json: bool) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _operations(workloads, workload: str, seed: int, tmp: str, out_root: str) -> list:
+    """The operations of one workload at one seed; ``blocks`` is this script's own."""
+    if workload != "blocks":
+        return workloads.operations(workload, seed, tmp, out_root)
+    return [workloads.Operation(label, (*argv, "--seed", str(seed), "--out", out), out)
+            for label, argv in BLOCKS for out in [os.path.join(out_root, label)]]
+
+
 def digests(root: str, seeds) -> dict:
     """{workload: {seed: {label: {"exit": code, "stdout": sha, "<file>": sha}}}}."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import bohm_epr.cli as cli
     import workloads
     result = {}
-    for workload in workloads.WORKLOADS:
+    for workload in (*workloads.WORKLOADS, "blocks"):
         per_seed = result[workload] = {}
         for seed in seeds:
             ops = per_seed[str(seed)] = {}
             with tempfile.TemporaryDirectory() as tmp:
                 out_root = os.path.join(tmp, "out")
-                for op in workloads.operations(workload, seed, tmp, out_root):
+                for op in _operations(workloads, workload, seed, tmp, out_root):
                     buf = io.StringIO()
                     with contextlib.redirect_stdout(buf):
                         code = cli.main(list(op.argv))
