@@ -67,15 +67,7 @@ from .experiment import (
     transport_views,
     write_events_csv,
 )
-from .hooke import (
-    HookeParams,
-    SpringMode,
-    SpringTrajectory,
-    simulate_spring,
-    spring_energy,
-    spring_grid,
-    write_spring_csv,
-)
+from .hooke import HookeParams, SpringMode, spring_energy, spring_grid, write_spring_csvs
 from .infomodel import InformationMode
 from .physconst import LIGHT_SPEED, RawPhysicalInputs
 
@@ -503,35 +495,44 @@ def _cmd_kick_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
+def _default_spring_step(params: HookeParams, mode: SpringMode, duration: float) -> float:
+    """tau/8 for a retarded delay when its grid passes, else period/2000.
+
+    When neither grid passes, the first one's error is raised.
+    """
+    steps = [params.period / 2000.0]
+    if mode is SpringMode.RETARDED and params.delay > 0.0:
+        steps.insert(0, params.delay / 8.0)
+    errors = []
+    for dt in steps:
+        try:
+            spring_grid(params, mode, duration, dt)
+            return dt
+        except ConfigError as err:
+            errors.append(err)
+    raise errors[0]
+
+
 def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     started = _utc_now()
     params = HookeParams(delay=args.tau)
     duration = args.periods * params.period
     modes = list(SpringMode) if args.coupling == "all" else [SpringMode(args.coupling)]
     # every grid is checked before anything is written or run
-    steps = {}
-    for mode in modes:
-        if args.dt is not None:
-            steps[mode] = args.dt
-        elif mode is SpringMode.RETARDED and args.tau > 0.0:
-            steps[mode] = args.tau / 8.0
-        else:
-            steps[mode] = params.period / 2000.0
+    steps = {mode: _default_spring_step(params, mode, duration) if args.dt is None else args.dt
+             for mode in modes}
     n_steps = {m.value: spring_grid(params, m, duration, dt).n_steps for m, dt in steps.items()}
     out_dir = _ensure_out(args.out)
 
-    files = ["manifest.json"]
+    names = {mode: f"hooke_{mode.value}.csv" for mode in steps}
+    files = ["manifest.json", *names.values()]
     with _run_files(out_dir) as stage:
-        for mode, dt in steps.items():
-            traj = simulate_spring(params, mode, duration, dt)
-            files.append(f"hooke_{mode.value}.csv")
-            write_spring_csv(traj, stage(files[-1]))
-            e_0, e_end = spring_energy(params, SpringTrajectory(
-                *(col[[0, -1]] for col in (traj.t, traj.x1, traj.v1, traj.x2, traj.v2))))
+        runs = {mode: (steps[mode], stage(name)) for mode, name in names.items()}
+        for mode, ends in write_spring_csvs(params, duration, runs):
+            e_0, e_end = spring_energy(params, ends)
             drift = abs(float(e_end - e_0)) / abs(float(e_0))
-            print(f"{mode.value:<14} dt = {dt:.3g}  x1(T) = {traj.x1[-1]:+.6f}  "
-                  f"x2(T) = {traj.x2[-1]:+.6f}  energy drift = {drift:.3e}")
-            del traj  # one coupling's rows at a time
+            print(f"{mode.value:<14} dt = {steps[mode]:.3g}  x1(T) = {ends.x1[-1]:+.6f}  "
+                  f"x2(T) = {ends.x2[-1]:+.6f}  energy drift = {drift:.3e}")
         write_manifest(stage("manifest.json"), None, files, "hooke-demo",
                        {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
                         "dt": {m.value: dt for m, dt in steps.items()}}, started,
@@ -558,15 +559,15 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(args.out)
     table = prepare_pairs(cfg)
     z_l, z_r, [views] = transport_views([table], [cfg], args.record_every)
-    steps = icfg.recorded_steps()
+    # each recorded step's "step,t," is formatted once for every view
+    stamps = [f"{step},{step * cfg.dt!r}," for step in icfg.recorded_steps()]
     with _run_files(out_dir) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
             fh.write("pair_id,view,step,t,z_L,z_R\n")
             for pair_id, systems in enumerate(views[:n_dump].tolist()):
                 for view, s in zip("AB", systems):
-                    for k, step in enumerate(steps):
-                        fh.write(f"{pair_id},{view},{step},{step * cfg.dt!r},"
-                                 f"{float(z_l[k, s])!r},{float(z_r[k, s])!r}\n")
+                    fh.write("".join([f"{pair_id},{view},{stamp}{a!r},{b!r}\n" for stamp, a, b
+                                      in zip(stamps, z_l[:, s].tolist(), z_r[:, s].tolist())]))
         write_manifest(stage("manifest.json"), cfg, ["trajectories.csv", "manifest.json"],
                        "dump-trajectories", provenance, started)
     print(f"dumped {n_dump} pairs to trajectories.csv in {out_dir}")

@@ -821,7 +821,9 @@ def transport_views(
         raise IntegrationDiverged(
             step=err.step, system_index=index,
             detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
-    z_l, z_r = (np.concatenate(side, axis=-1) for side in zip(*exits))
+    # one chunk's results are returned as they are, not copied
+    z_l, z_r = exits[1] if len(exits) == 2 else (
+        np.concatenate(side, axis=-1) for side in zip(*exits))
     return z_l, z_r, [views.reshape(-1, 2) for views in np.split(place, offsets[1:-1])]
 
 

@@ -1,8 +1,10 @@
 """Two masses coupled by a Hooke spring, with optionally delayed coupling.
 
 A sandbox for the information-delay idea in a setting where everything
-can be checked against closed-form mechanics. ``simulate_spring`` is the
-one entry point; its ``SpringMode`` picks one of four couplings:
+can be checked against closed-form mechanics. ``simulate_spring`` runs
+one coupling and holds it; ``write_spring_csvs`` runs several and writes
+each to its CSV as its rows are made. A ``SpringMode`` picks one of four
+couplings:
 
 * ``INSTANTANEOUS``: each mass feels the spring stretched to where the
   other mass is right now,
@@ -27,10 +29,12 @@ one entry point; its ``SpringMode`` picks one of four couplings:
 Every coupling but the retarded one with tau > 0 reads no history and is
 linear in the state, with at most affine time forcing. For those one
 ``rk4_step`` is an exact affine map of the step index and the state, so
-``simulate_spring`` applies that step to probe states once, reads off its
-6x6 matrix on (x1, v1, x2, v2, 1, i), and fills the rows with powers of
-it. The retarded loop steps one row at a time. Either way a trajectory's
-columns are views of its one row array, so holding any keeps the run.
+``spring_blocks``, the one source of rows for both entry points, applies
+that step to probe states once, reads off its 6x6 matrix on
+(x1, v1, x2, v2, 1, i), and makes the rows in blocks with powers of it.
+The retarded loop steps one row at a time into a buffer of the whole
+run. A trajectory's columns are views of its one row array, so holding
+any keeps the run.
 
 ``spring_grid`` states the grid rule once: the delay rule above, then
 ``integrate.IntegrationConfig``, the step rule transport uses. So a grid
@@ -40,7 +44,10 @@ grid before it runs any of them.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +57,8 @@ from .errors import ConfigError, IntegrationDiverged
 from .integrate import IntegrationConfig, rk4_step
 from .physconst import check_finite_fields
 
+
+_HEADER = "t,x1,x2\n"
 
 # Rows filled per block by the step-map powers T^1 ... T^_BLOCK, and per
 # divergence check on every path: large enough that the Python loop over
@@ -204,22 +213,51 @@ def _check_rows(rows: np.ndarray, first: int) -> None:
         raise IntegrationDiverged(step=first + int(np.argmin(np.isfinite(rows).all(axis=1))))
 
 
-def _fill_by_step_map(rows: np.ndarray, t_map: np.ndarray) -> None:
-    """Fill rows[1:] from rows[0] with T^1 ... T^_BLOCK, one block of rows at a time.
+def spring_blocks(params: HookeParams, mode: SpringMode, duration: float, dt: float,
+                  rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield the rows (x1, v1, x2, v2) of one run: row 0, then rows 1-256, 257-512, ...
 
-    The products are einsum, not matmul: matmul would start BLAS, whose
-    buffers add about 0.25 MiB to the peak resident set.
+    Each block of ``_BLOCK`` rows is computed from the last row before it.
+    A coupling that reads no history applies T^1 ... T^_BLOCK of RK4's
+    one-step map (see ``_step_map``) to that row; the products are einsum,
+    not matmul, which would start BLAS and add about 0.25 MiB to the peak
+    resident set. The retarded coupling with a delay steps one row at a
+    time on a list of Python floats, writing each row into ``rows``, an
+    (n + 1, 4) buffer (allocated when None), since its force reads the rows
+    already written: a numpy 4-vector costs more per operation than it
+    saves. Its blocks are views of that buffer. Each block is checked
+    before it is yielded: a non-finite row raises ``IntegrationDiverged``
+    naming it.
     """
-    powers = np.empty((_BLOCK, 6, 6))
-    powers[0] = t_map
-    for k in range(1, _BLOCK):
-        powers[k] = np.einsum("ij,jk->ik", t_map, powers[k - 1])
-    z = np.array([*rows[0], 1.0, 0.0])
-    n = rows.shape[0] - 1
+    n = spring_grid(params, mode, duration, dt).n_steps
+    start = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
+    if mode is SpringMode.RETARDED and params.delay > 0.0:
+        rows = np.empty((n + 1, 4)) if rows is None else rows
+        rows[0] = start
+        rhs = _rhs(params, mode, rows, dt)
+        yield rows[:1]
+        y = rows[0].tolist()
+        for s in range(1, n + 1, _BLOCK):
+            for i in range(s, min(s + _BLOCK, n + 1)):
+                y = rk4_step(rhs, i - 1, dt, y)
+                rows[i] = y
+            _check_rows(rows[s:i + 1], s)
+            yield rows[s:i + 1]
+        return
+    # a map that overflows yields non-finite rows, which the check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_map = _step_map(_rhs(params, mode, None, dt), dt)
+        powers = np.empty((_BLOCK, 6, 6))
+        powers[0] = t_map
+        for k in range(1, _BLOCK):
+            powers[k] = np.einsum("ij,jk->ik", t_map, powers[k - 1])
+    z = np.array([*start, 1.0, 0.0])
+    yield z[None, :4]
     for s in range(0, n, _BLOCK):
-        block = np.einsum("kij,j->ki", powers[:min(_BLOCK, n - s)], z)
-        rows[s + 1:s + 1 + len(block)] = block[:, :4]
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.einsum("kij,j->ki", powers[:min(_BLOCK, n - s)], z)
         _check_rows(block, s + 1)
+        yield block[:, :4]
         z = block[-1]
 
 
@@ -227,26 +265,14 @@ def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
                     dt: float) -> SpringTrajectory:
     """Integrate the pair under the chosen coupling with fixed-step RK4.
 
-    Row i holds (x1, v1, x2, v2) at step i. A coupling that reads no
-    history fills the rows with powers of RK4's one-step map (see
-    ``_step_map``). The retarded coupling with a delay steps one row at a
-    time on a list of Python floats, since its force reads the rows
-    already written: a numpy 4-vector costs more per operation than it
-    saves. A non-finite row raises ``IntegrationDiverged`` naming it.
+    Row i holds (x1, v1, x2, v2) at step i, filled from ``spring_blocks``.
+    A non-finite row raises ``IntegrationDiverged`` naming it.
     """
     rows = np.empty((spring_grid(params, mode, duration, dt).n_steps + 1, 4))
-    rows[0] = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
-    rhs = _rhs(params, mode, rows, dt)
-    if mode is SpringMode.RETARDED and params.delay > 0.0:
-        y = rows[0].tolist()
-        for s in range(1, rows.shape[0], _BLOCK):
-            for i in range(s, min(s + _BLOCK, rows.shape[0])):
-                y = rk4_step(rhs, i - 1, dt, y)
-                rows[i] = y
-            _check_rows(rows[s:i + 1], s)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _fill_by_step_map(rows, _step_map(rhs, dt))
+    at = 0
+    for block in spring_blocks(params, mode, duration, dt, rows):
+        rows[at:at + len(block)] = block  # the retarded blocks are already in place
+        at += len(block)
     # a float arange scaled in place holds no int64 index array beside the result
     t = np.arange(rows.shape[0], dtype=float)
     t *= dt
@@ -265,9 +291,85 @@ def spring_energy(params: HookeParams, traj: SpringTrajectory) -> np.ndarray:
     return kinetic + potential
 
 
+def _csv_lines(stamps: list[str], x1: list[float], x2: list[float]) -> str:
+    """The CSV lines of one block: each row's formatted ``t,`` stamp, then x1,x2."""
+    return "".join([f"{t}{a!r},{b!r}\n" for t, a, b in zip(stamps, x1, x2)])
+
+
 def write_spring_csv(traj: SpringTrajectory, path) -> None:
     """Positions against time, header t,x1,x2."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x1,x2\n")
-        for i in range(len(traj.t)):
-            fh.write(f"{float(traj.t[i])!r},{float(traj.x1[i])!r},{float(traj.x2[i])!r}\n")
+        fh.write(_HEADER)
+        for s in range(0, len(traj.t), _BLOCK):
+            part = slice(s, s + _BLOCK)
+            fh.write(_csv_lines([f"{t!r}," for t in traj.t[part].tolist()],
+                                traj.x1[part].tolist(), traj.x2[part].tolist()))
+
+
+def write_spring_csvs(params: HookeParams, duration: float,
+                      runs: dict[SpringMode, tuple[float, object]]
+                      ) -> Iterator[tuple[SpringMode, SpringTrajectory]]:
+    """Run each coupling of ``runs`` ({mode: (dt, path)}) and write its CSV.
+
+    Everything runs on the first ``next``. Couplings that share a dt
+    advance together through ``spring_blocks``, and each block's lines go
+    to the files as ``write_spring_csv`` would write them, so a block's t
+    column is formatted once for all of them and no history-free run is
+    held. Then yields, in ``runs`` order, each coupling with its rows 0
+    and n as a two-row trajectory; at the first coupling that diverged it
+    raises that coupling's ``IntegrationDiverged`` instead, as running the
+    couplings one after another would.
+    """
+    ends: dict[SpringMode, SpringTrajectory | IntegrationDiverged] = {}
+    for dt in dict.fromkeys(dt for dt, _ in runs.values()):
+        group = [mode for mode, (step, _) in runs.items() if step == dt]
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(runs[mode][1], "w", encoding="utf-8"))
+                     for mode in group]
+            for fh in files:
+                _emit(fh, _HEADER)
+            first, last = {}, {}
+            at = 0
+            for blocks in itertools.zip_longest(
+                    *(_until_diverged(spring_blocks(params, mode, duration, dt), mode, ends)
+                      for mode in group)):
+                size = next(len(block) for block in blocks if block is not None)
+                stamps = [f"{i * dt!r}," for i in range(at, at + size)]
+                at += size
+                for mode, fh, block in zip(group, files, blocks):
+                    if block is not None:
+                        _emit(fh, _csv_lines(stamps, block[:, 0].tolist(), block[:, 2].tolist()))
+                        first.setdefault(mode, block[0])
+                        last[mode] = block[-1]
+        for mode in group:
+            if mode not in ends:
+                ends[mode] = SpringTrajectory(np.array([0.0, (at - 1) * dt]),
+                                              *np.stack((first[mode], last[mode])).T)
+    for mode in runs:
+        if isinstance(ends[mode], IntegrationDiverged):
+            raise ends[mode]
+        yield mode, ends[mode]
+
+
+def _emit(fh, text: str) -> None:
+    """Write and flush ``text``; an OSError is raised again naming fh's file.
+
+    A failed write to an open file names no file, and several are open
+    here. The failed file is closed at once, dropping what it could not
+    write, so closing it again on the way out raises nothing new.
+    """
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise OSError(err.errno, err.strerror, fh.name) from err
+
+
+def _until_diverged(blocks: Iterator[np.ndarray], mode: SpringMode, failures: dict):
+    """The blocks of one run, ending early with its divergence kept in ``failures[mode]``."""
+    try:
+        yield from blocks
+    except IntegrationDiverged as err:
+        failures[mode] = err

@@ -723,6 +723,58 @@ def test_hooke_demo_holds_one_coupling_at_a_time(tmp_path, capsys):
     assert peak < 1.25 * 2**20
 
 
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hooke_demo_peak_does_not_grow_with_a_history_free_run(tmp_path, capsys):
+    # a history-free coupling is written block by block as its rows are
+    # made; holding the run grew the peak by 2.1 MiB from 10 to 40 periods.
+    # The first call in a process also makes about 0.15 MiB of one-off
+    # allocations, so a warm-up call takes them out of the comparison
+    _, short, long = [_traced_peak(["hooke-demo", "--coupling", "instantaneous",
+                                    "--periods", periods, "--out", str(tmp_path / periods)])
+                      for periods in ("1", "10", "40")]
+    assert long - short < 0.1 * 2**20
+
+
+def test_hooke_demo_failed_write_names_the_csv_being_written(tmp_path, capsys):
+    # the three history-free CSVs are open together; every write to
+    # /dev/full fails with ENOSPC, an error that names no file
+    (tmp_path / f".hooke_instantaneous.csv.{os.getpid()}.tmp").symlink_to("/dev/full")
+    assert main(["hooke-demo", "--coupling", "all", "--periods", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {tmp_path / 'hooke_instantaneous.csv'}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, code, dt", [
+    # tau/8 gives fewer than 10 steps, so the retarded coupling takes period/2000
+    (["--coupling", "retarded"], 0, HookeParams().period / 2000.0),
+    # which reaches the expanded coupling's divergence
+    (["--coupling", "all"], 3, None),
+])
+def test_hooke_demo_default_retarded_step_falls_back_to_the_period(tmp_path, capsys, argv,
+                                                                   code, dt):
+    out = tmp_path / "hooke"
+    assert main(["hooke-demo", "--tau", "1e10", "--periods", "1", *argv,
+                 "--out", str(out)]) == code
+    if code == 0:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["provenance"]["dt"] == {"retarded": dt}
+        assert manifest["counters"] == {"steps": {"retarded": 2000}}
+    else:
+        assert capsys.readouterr().err == "numerical failure: non-finite state at step 11\n"
+        assert list(out.iterdir()) == []
+
+
 def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):
     assert main(["hooke-demo", "--coupling", "retarded", "--tau", "0.05",
                  "--dt", "0.05", "--out", str(tmp_path)]) == 2

@@ -1266,3 +1266,22 @@ def test_transport_and_events_peak_grows_by_their_results_alone(tmp_path):
     transport, events = _traced_growth_per_pair(tmp_path, 3 * 4096, 6 * 4096)
     assert transport <= 80
     assert events <= 30
+
+
+def test_a_recording_transport_holds_its_results_once():
+    # a 400-pair local dump recorded at every step: 568 systems x 3001 steps,
+    # 26 MiB of results in one chunk. Each recorded step is written
+    # into the result and the one chunk is returned as it is, so the peak is
+    # the results; a list of steps stacked at the end, or the chunk's exits
+    # copied into a concatenation, held them twice (2.04x)
+    cfg = ExperimentConfig(n_pairs=400, mode=InformationMode.LOCAL, master_seed=5)
+    table = prepare_pairs(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z_l, z_r, _ = transport_views([table], [cfg], record_every=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert z_l.shape == z_r.shape == (3001, 568)
+    assert peak <= 1.3 * (z_l.nbytes + z_r.nbytes)

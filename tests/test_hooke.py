@@ -20,7 +20,7 @@ from bohm_epr import (
 )
 from bohm_epr import hooke
 from bohm_epr.cli import main
-from bohm_epr.hooke import write_spring_csv
+from bohm_epr.hooke import write_spring_csv, write_spring_csvs
 from bohm_epr.integrate import rk4_step
 
 PERIOD = 2.0 * math.pi / 3.0
@@ -197,12 +197,16 @@ def test_step_map_matches_per_step_rk4(mode, velocities):
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < STEP_MAP_RTOL
 
 
+# sha256 of the retarded coupling's CSV at `hooke-demo --tau 0.05 --periods 2`
+RETARDED_CSV = "16e2f90f14a1817379afa9e79177f45cc083f72c01b270817d1a4f309a59f62b"
+
+
 def test_retarded_csv_is_pinned(tmp_path):
     # the delayed coupling still steps row by row; its output must not move
     assert main(["hooke-demo", "--coupling", "retarded", "--tau", "0.05", "--periods", "2",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "hooke_retarded.csv").read_bytes()).hexdigest()
-    assert digest == "16e2f90f14a1817379afa9e79177f45cc083f72c01b270817d1a4f309a59f62b"
+    assert digest == RETARDED_CSV
 
 
 # sha256 of the history-free couplings' CSVs at `hooke-demo --periods 2`
@@ -220,6 +224,45 @@ def test_step_map_csvs_are_pinned(tmp_path, coupling):
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"hooke_{coupling}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SPRING_CSVS[coupling]
+
+
+def test_one_joint_run_reproduces_every_pinned_csv(tmp_path):
+    # the three history-free couplings advance together, the retarded one on its own grid
+    assert main(["hooke-demo", "--coupling", "all", "--periods", "2",
+                 "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / f"hooke_{name}.csv").read_bytes()).hexdigest()
+               for name in (*GOLDEN_SPRING_CSVS, "retarded")}
+    assert digests == {**GOLDEN_SPRING_CSVS, "retarded": RETARDED_CSV}
+
+
+def test_joint_csvs_equal_one_coupling_at_a_time(tmp_path):
+    # one shared grid of 4964 steps, whose last block of 256 rows holds 100;
+    # the retarded coupling's buffer advances with the three step maps
+    assert main(["hooke-demo", "--coupling", "all", "--dt", "0.001", "--periods", "2.37",
+                 "--out", str(tmp_path / "joint")]) == 0
+    p = HookeParams(delay=0.05)
+    for mode in SpringMode:
+        alone = tmp_path / f"{mode.value}.csv"
+        write_spring_csv(simulate_spring(p, mode, 2.37 * p.period, 0.001), alone)
+        assert (tmp_path / "joint" / f"hooke_{mode.value}.csv").read_bytes() == alone.read_bytes()
+
+
+def test_joint_run_reports_the_first_coupling_in_order_to_diverge(tmp_path):
+    # alone, the instantaneous coupling diverges at step 549, in the third
+    # block, and the expanded one at step 32, in the first
+    p = HookeParams(stiffness=8.0e4, delay=1.0)
+    steps = {}
+    for mode in (SpringMode.INSTANTANEOUS, SpringMode.EXPANDED):
+        with pytest.raises(IntegrationDiverged) as err:
+            simulate_spring(p, mode, 200.0, 0.01)
+        steps[mode] = err.value.step
+    assert steps == {SpringMode.INSTANTANEOUS: 549, SpringMode.EXPANDED: 32}
+    for order in ([SpringMode.INSTANTANEOUS, SpringMode.EXPANDED],
+                  [SpringMode.EXPANDED, SpringMode.INSTANTANEOUS]):
+        runs = {mode: (0.01, tmp_path / mode.value) for mode in order}
+        with pytest.raises(IntegrationDiverged) as err:
+            list(write_spring_csvs(p, 200.0, runs))
+        assert err.value.step == steps[order[0]]
 
 
 @pytest.mark.parametrize("mode, delay", [(SpringMode.INSTANTANEOUS, 0.0),

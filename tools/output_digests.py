@@ -22,7 +22,9 @@ trees run the operations that tree's benchmark runs. Those never leave
 the first block of ``_BATCH_CHUNK`` (4096) pairs, so the script also
 runs the fixed operations of ``BLOCKS`` under the name ``blocks``:
 ``table1`` at 9000 pairs (three blocks) and a 5000-pair local dump
-(two blocks), at the program's default bench.
+(two blocks), at the program's default bench, and ``hooke-demo`` with all
+four couplings on one shared grid whose last block of 256 rows is partial
+(it takes no seed, so every seed repeats it).
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ import sys
 import tempfile
 
 VOLATILE = ("runtime_s", "started_utc", "finished_utc")
-# (label, argv without --seed and --out) of the operations that cross a block boundary
+# (label, argv without --seed and --out, whether it takes --seed) of the
+# operations that cross a block boundary
 BLOCKS = (
-    ("table1", ("table1", "--pairs", "9000")),
+    ("table1", ("table1", "--pairs", "9000"), True),
     ("dump-trajectories", ("dump-trajectories", "--mode", "local", "--pairs", "5000",
-                           "--record-every", "300")),
+                           "--record-every", "300"), True),
+    ("hooke-demo", ("hooke-demo", "--coupling", "all", "--dt", "0.001", "--periods", "2.37"),
+     False),
 )
 DEFAULT_SEEDS = (0, 101, 614, 2**64 - 1)
 
@@ -66,8 +71,9 @@ def _operations(workloads, workload: str, seed: int, tmp: str, out_root: str) ->
     """The operations of one workload at one seed; ``blocks`` is this script's own."""
     if workload != "blocks":
         return workloads.operations(workload, seed, tmp, out_root)
-    return [workloads.Operation(label, (*argv, "--seed", str(seed), "--out", out), out)
-            for label, argv in BLOCKS for out in [os.path.join(out_root, label)]]
+    return [workloads.Operation(
+                label, (*argv, *(("--seed", str(seed)) if seeded else ()), "--out", out), out)
+            for label, argv, seeded in BLOCKS for out in [os.path.join(out_root, label)]]
 
 
 def digests(root: str, seeds) -> dict:
