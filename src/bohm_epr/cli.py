@@ -552,7 +552,7 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     if args.record_every < 1:
         raise ConfigError("--record-every must be at least 1")
     icfg = cfg.transport_grid(args.record_every)
-    rows = 2 * n_dump * (len(range(0, icfg.n_steps, args.record_every)) + 1)
+    rows = 2 * n_dump * len(icfg.recorded_steps())
     if rows > _MAX_DUMP_ROWS:
         raise ConfigError(f"the dump would hold {rows} rows, more than {_MAX_DUMP_ROWS}; "
                           "dump fewer pairs or raise --record-every")

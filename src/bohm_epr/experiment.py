@@ -761,9 +761,10 @@ def transport_views(
     earlier blocks' systems. A row's only duplicates are its pair's other
     view and the same pair in another table (equal draws need an equal
     seed and pair id), so this keeps the systems one merge of all rows
-    would. They go through the transport in chunks of ``_BATCH_CHUNK``,
-    a block's leftovers opening the next chunk; systems are independent,
-    so neither chunks nor batch-mates change a result. ``views[k]`` is
+    would. Each block's new systems go through the transport in one
+    call of at most 2 * ``_BATCH_CHUNK`` * len(configs) systems (32 768
+    for the four configs of ``table1_configs``); systems are independent,
+    so neither blocks nor batch-mates change a result. ``views[k]`` is
     an (n, 2) array: the system of each pair's A and B view in table k,
     or -1 for a pair not needed. With ``record_every`` > 0,
     ``integrate_batch`` runs the full transit and z_l, z_r are (recorded
@@ -784,13 +785,10 @@ def transport_views(
     offsets = np.cumsum([0] + [2 * len(table) for table in tables])
     wanted = None if needed is None else np.repeat(np.concatenate(needed), 2)
     place = np.full(offsets[-1], -1)
-    # (z_l, z_r) of each chunk, after an empty pair that shapes a call of no system
-    exits = [(np.empty((len(icfg.recorded_steps()), 0) if record_every else 0),) * 2]
-    pending = np.empty((_BATCH_CHUNK, 4))
-    m = fill = 0  # systems numbered so far, and how many of them wait in pending
-    blocks = range(0, max(map(len, tables)), _BATCH_CHUNK)
+    exits = []  # (z_l, z_r) of each block
+    start = 0  # the block's first system number
     try:
-        for lo in blocks:
+        for lo in range(0, max(map(len, tables)), _BATCH_CHUNK):
             hi = lo + _BATCH_CHUNK
             at = np.concatenate([np.arange(2 * lo, 2 * min(hi, len(table))) + off
                                  for table, off in zip(tables, offsets.tolist())])
@@ -798,18 +796,11 @@ def transport_views(
             if wanted is not None:
                 rows, at = rows[wanted[at]], at[wanted[at]]
             keep, first = _first_appearances(rows)
-            place[at] = m + first
+            place[at] = start + first
             new = rows[keep]
             del rows, at, first
-            m += len(new)
-            while len(new) or (fill and lo == blocks[-1]):
-                take = min(_BATCH_CHUNK - fill, len(new))
-                pending[fill:fill + take], new = new[:take], new[take:]
-                fill += take
-                if fill < _BATCH_CHUNK and lo != blocks[-1]:
-                    break
-                start, size, fill = m - len(new) - fill, fill, 0
-                exits.append(integrate(*pending[:size].T, coeff, icfg))
+            exits.append(integrate(*new.T, coeff, icfg))
+            start += len(new)
     except IntegrationDiverged as err:
         index = start + (err.system_index or 0)
         row = int(np.argmax(place == index))  # the system's first appearance
@@ -821,8 +812,8 @@ def transport_views(
         raise IntegrationDiverged(
             step=err.step, system_index=index,
             detail=f"{where}pair {pair}, view {view}, {configs[k].mode.value} mode") from err
-    # one chunk's results are returned as they are, not copied
-    z_l, z_r = exits[1] if len(exits) == 2 else (
+    # one block's results are returned as they are, not copied
+    z_l, z_r = exits[0] if len(exits) == 1 else (
         np.concatenate(side, axis=-1) for side in zip(*exits))
     return z_l, z_r, [views.reshape(-1, 2) for views in np.split(place, offsets[1:-1])]
 

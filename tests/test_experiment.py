@@ -868,7 +868,7 @@ def test_a_pair_has_two_systems_iff_its_views_weigh_differently(cfg):
     a_w, b_w = (np.array(w).reshape(-1, 2) for w in views)
     differ = np.array([a.tobytes() != b.tobytes() for a, b in zip(a_w, b_w)], dtype=int)
     # the distinct systems are, in order, each pair's A view and then its
-    # B view when that differs: the layout the transport chunks follow
+    # B view when that differs: the layout the transport's blocks follow
     a_sys = np.cumsum(1 + differ) - 1 - differ
     systems = transport_views([table], [cfg])[2][0]
     assert systems.tolist() == np.column_stack((a_sys, a_sys + differ)).tolist()
@@ -1069,7 +1069,7 @@ def test_a_table_repeated_in_a_call_adds_no_system():
 
 def test_divergence_in_a_batch_names_the_config(monkeypatch):
     # config 0 is nonlocal, so its 8 pairs have 8 systems; config 1's
-    # system 4 is pair 3's B view (see the chunked divergence test of
+    # system 4 is pair 3's B view (see the later-block divergence test of
     # test_retirement.py) and the 13th distinct system of the batch
     configs = [ExperimentConfig(n_pairs=8, master_seed=1),
                ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)]
@@ -1123,31 +1123,52 @@ def test_a_local_run_merged_in_blocks_of_five_pairs_equals_one_block(monkeypatch
             == _run_bytes(blocked, tmp_path / "blocked.csv"))
 
 
+def _transport_calls(monkeypatch, fail_at=None):
+    """The system count of each ``integrate_retiring`` call, as it is made.
+
+    Call number ``fail_at`` (from 1) raises a divergence at its system 1.
+    """
+    real, calls = experiment_mod.integrate_retiring, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == fail_at:
+            raise IntegrationDiverged(step=3, system_index=1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", counting)
+    return calls
+
+
 def test_divergence_in_a_later_block_names_its_block_major_system(monkeypatch):
     # in blocks of five pairs: config 0's pairs 0-4 are systems 0-4 and
     # config 1's are 5-11 (pairs 3 and 4 have two views each); block 1 then
-    # numbers config 0's pairs 5-7 as 12-14, so pair 6 is system 13. Block
-    # 0's systems 10 and 11 open the third chunk, whose fourth system fails
+    # numbers config 0's pairs 5-7 as 12-14, so pair 6 is system 13, the
+    # second of block 1's call
     configs = [ExperimentConfig(n_pairs=8, master_seed=1),
                ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)]
     monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 5)
     views = transport_views([prepare_pairs(cfg) for cfg in configs], configs)[2]
     assert views[0][:, 0].tolist() == [0, 1, 2, 3, 4, 12, 13, 14]
     assert views[1][:5].tolist() == [[5, 5], [6, 6], [7, 7], [8, 9], [10, 11]]
-    real, chunks = experiment_mod.integrate_retiring, []
-
-    def failing_third_chunk(*args, **kwargs):
-        chunks.append(len(args[0]))
-        if len(chunks) == 3:
-            raise IntegrationDiverged(step=3, system_index=3)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing_third_chunk)
+    calls = _transport_calls(monkeypatch, fail_at=2)
     with pytest.raises(IntegrationDiverged) as err:
         run_batch(configs)
-    assert chunks == [5, 5, 5]
+    assert calls == [12, 7]
     assert str(err.value) == ("non-finite state at step 3 (system 13): "
                               "config 0, pair 6, view A and B, nonlocal mode")
+
+
+def test_each_block_of_pairs_is_one_transport_call(monkeypatch):
+    monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 3)
+    calls = _transport_calls(monkeypatch)
+    report = run_epr(ExperimentConfig(n_pairs=12, master_seed=0, mode=InformationMode.LOCAL))
+    assert calls == [3, 6, 3, 5] and sum(calls) == report.systems == 17
+    # a batch's block spans every table, the shorter one ending early
+    calls.clear()
+    reports = run_batch([ExperimentConfig(n_pairs=7, master_seed=1),
+                         ExperimentConfig(n_pairs=12, master_seed=0, mode=InformationMode.LOCAL)])
+    assert calls == [6, 9, 4, 5] and sum(calls) == reports[0].systems
 
 
 @pytest.mark.parametrize("change", [dict(dt=0.5e-6),

@@ -144,27 +144,27 @@ def test_run_epr_divergence_names_the_pair():
         assert str(err.value).endswith(f": pair 0, {view}, {mode.value} mode")
 
 
-def test_run_epr_divergence_in_a_later_chunk_names_the_pair(monkeypatch):
+def test_run_epr_divergence_in_a_later_block_names_the_pair(monkeypatch):
     cfg = ExperimentConfig(n_pairs=8, master_seed=0, mode=InformationMode.LOCAL)
     # at this seed pairs 0 to 2 have one system each and pair 3 two, whose
-    # views differ in weights, so in chunks of three the second chunk's
-    # system 1 is system 4, pair 3's B view
+    # views differ in weights, so in blocks of three pairs the second
+    # block's system 1 is system 4, pair 3's B view
     [views] = transport_views([prepare_pairs(cfg)], [cfg])[2]
     assert views[:4].tolist() == [[0, 0], [1, 1], [2, 2], [3, 4]]
     monkeypatch.setattr(experiment_mod, "_BATCH_CHUNK", 3)
     real = experiment_mod.integrate_retiring
-    chunks = []
+    calls = []
 
-    def failing_second_chunk(*args, **kwargs):
-        chunks.append(len(args[0]))
-        if len(chunks) == 2:
+    def failing_second_block(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == 2:
             raise IntegrationDiverged(step=7, system_index=1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing_second_chunk)
+    monkeypatch.setattr(experiment_mod, "integrate_retiring", failing_second_block)
     with pytest.raises(IntegrationDiverged) as err:
         run_epr(cfg)
-    assert chunks == [3, 3]
+    assert calls == [3, 6]
     assert (err.value.step, err.value.system_index) == (7, 4)
     assert str(err.value) == "non-finite state at step 7 (system 4): pair 3, view B, local mode"
 

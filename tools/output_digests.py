@@ -18,13 +18,15 @@ outputs on these workloads when their JSON digests compare equal:
     diff before.json after.json
 
 The workload list is read from ``TREE/perfbench/workloads.py``, so both
-trees run the operations that tree's benchmark runs. Those never leave
-the first block of ``_BATCH_CHUNK`` (4096) pairs, so the script also
+trees run the operations that tree's benchmark runs. Of those only
+``rates_fast_beam`` leaves the first block of ``_BATCH_CHUNK`` (4096)
+pairs, and it transports every pair of one config, so the script also
 runs the fixed operations of ``BLOCKS`` under the name ``blocks``:
-``table1`` at 9000 pairs (three blocks) and a 5000-pair local dump
-(two blocks), at the program's default bench, and ``hooke-demo`` with all
-four couplings on one shared grid whose last block of 256 rows is partial
-(it takes no seed, so every seed repeats it).
+``table1`` at 9000 pairs (three blocks), a 9000-pair local ``run-epr``
+that transports only the counted pairs (three blocks) and a 5000-pair
+local dump (two blocks), at the program's default bench, and
+``hooke-demo`` with all four couplings on one shared grid whose last
+block of 256 rows is partial (it takes no seed, so every seed repeats it).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ VOLATILE = ("runtime_s", "started_utc", "finished_utc")
 # operations that cross a block boundary
 BLOCKS = (
     ("table1", ("table1", "--pairs", "9000"), True),
+    ("run-epr", ("run-epr", "--pairs", "9000", "--mode", "local"), True),
     ("dump-trajectories", ("dump-trajectories", "--mode", "local", "--pairs", "5000",
                            "--record-every", "300"), True),
     ("hooke-demo", ("hooke-demo", "--coupling", "all", "--dt", "0.001", "--periods", "2.37"),
