@@ -380,8 +380,8 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     started = _utc_now()
     cfg, provenance = build_config(_load_file_values(args.config),
                                    _overrides_from_args(args))
-    out_dir = _ensure_out(args.out)
     report = run_epr(cfg, every_outcome=args.events)
+    out_dir = _ensure_out(args.out)
     if args.rates:
         # the parked bench never switches, so its counts need no draw and no transport
         quiet = quiescent_config(cfg)
@@ -556,9 +556,9 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     if rows > _MAX_DUMP_ROWS:
         raise ConfigError(f"the dump would hold {rows} rows, more than {_MAX_DUMP_ROWS}; "
                           "dump fewer pairs or raise --record-every")
-    out_dir = _ensure_out(args.out)
     table = prepare_pairs(cfg)
     z_l, z_r, [views] = transport_views([table], [cfg], args.record_every)
+    out_dir = _ensure_out(args.out)
     # each recorded step's "step,t," is formatted once for every view
     stamps = [f"{step},{step * cfg.dt!r}," for step in icfg.recorded_steps()]
     with _run_files(out_dir) as stage:

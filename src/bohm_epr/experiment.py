@@ -28,7 +28,7 @@ pair i:
 ``run_batch`` reads as draw, prepare, transport, tally. ``pair_draws``
 runs once per distinct (master_seed, n_pairs, packet_width);
 ``prepare_pairs`` fills a config's ``PairTable`` of numpy columns from
-its draws and each pair's two ``read_times``; ``transport_views`` moves
+its draws and one ``infomodel.entry_reads``; ``transport_views`` moves
 the views one block of pairs at a time, for runs and dumps alike; ``_tally``
 counts cells from the outcome products. Every draw comes from a stream
 derived from (master_seed, role, index), so reruns with one seed are
@@ -51,7 +51,7 @@ from .infomodel import (
     SettingTimelines,
     SideTimeline,
     check_geometry,
-    read_times,
+    entry_reads,
     static_timeline,
 )
 from .integrate import IntegrationConfig, integrate_batch, integrate_retiring, sign_outcome
@@ -637,46 +637,6 @@ def _menu_indices(menu: tuple[float, float], angles: np.ndarray) -> np.ndarray:
     return np.where(angles == menu[0], 0, np.where(angles == menu[1], 1, -1))
 
 
-def _check_reads(cfg: ExperimentConfig, timelines: SettingTimelines, launches: np.ndarray,
-                 t_own: np.ndarray, t_partner: np.ndarray) -> None:
-    """Refuse a run whose settings reads transport cannot honour.
-
-    Each side reads its own angle at ``t_own`` and its partner's at
-    ``t_partner`` (the same instants in nonlocal mode), and transport
-    reads both views once, at magnet entry. So a pair must leave its
-    magnets by the next launch, no read may precede an explicit list,
-    and a switch, or its news, strictly inside (read, read + transit)
-    would be ignored. A switch at the read time itself is read there.
-    """
-    grid = cfg.transport_grid()
-    transit = grid.n_steps * grid.dt
-    late = t_own[:-1] + transit > launches[1:]
-    if late.any():
-        i = int(np.argmax(late))
-        raise ConfigError(f"pair_period must cover flight plus magnet transit: pair {i} leaves "
-                          f"its magnets at {float(t_own[i] + transit)!r} s, after launch {i + 1} "
-                          f"at {float(launches[i + 1])!r} s")
-    reads = [(t_own, "analyzer {side} switches"),
-             (t_partner, "news of analyzer {side}'s switch reaches side {partner}")]
-    for side, partner, timeline in (("A", "B", timelines.side_a), ("B", "A", timelines.side_b)):
-        # pair 0 reads first; only an explicit list starts at a finite time
-        if t_partner[0] < timeline.times[0]:
-            raise ConfigError(f"explicit_{side.lower()} must start at or before t = "
-                              f"{float(t_partner[0])!r} s, where side {partner} reads it for "
-                              f"pair 0 in local mode")
-        for t_read, what in reads:
-            # no float lies inside a window whose ends cross
-            lo, hi = np.nextafter(t_read, math.inf), np.nextafter(t_read + transit, -math.inf)
-            inside = timeline.changes_in(lo, np.maximum(lo, hi)) & (lo <= hi)
-            if inside.any():
-                i = int(np.argmax(inside))
-                entry = float(t_own[i])
-                raise ConfigError(
-                    f"pair {i}: {what.format(side=side, partner=partner)} inside its magnet "
-                    f"transit ({entry!r}, {entry + transit!r}) s; settings are read once, "
-                    f"at magnet entry")
-
-
 def _draw_key(cfg: ExperimentConfig) -> tuple[int, int, float]:
     return cfg.master_seed, cfg.n_pairs, cfg.physics.packet_width
 
@@ -687,18 +647,15 @@ def prepare_pairs(cfg: ExperimentConfig, draws: tuple | None = None) -> PairTabl
     Pairs that lose a particle are still prepared in full; their
     trajectories remain well defined even though only surviving outcomes
     reach the detectors. The switching and loss columns come from
-    ``setting_timelines`` and ``survival``. Each pair's angles are read
-    at its two ``read_times``; ``_check_reads`` refuses the reads that
-    transport cannot honour. ``draws`` is this config's ``pair_draws``
-    tuple, drawn here when None.
+    ``setting_timelines`` and ``survival``, the four angle columns from
+    one ``entry_reads``, which refuses the reads transport cannot honour.
+    ``draws`` is this config's ``pair_draws`` tuple, drawn here when None.
     """
     a_rand, b_rand, z_l0, z_r0 = pair_draws(*_draw_key(cfg)) if draws is None else draws
     timelines = setting_timelines(cfg, (a_rand, b_rand))
-    launches = _launches(cfg)
-    t_own, t_partner = read_times(cfg.flight_time, timelines, cfg.mode, launches)
-    _check_reads(cfg, timelines, launches, t_own, t_partner)
-    setting_a = timelines.side_a.angles_at(t_own)
-    setting_b = timelines.side_b.angles_at(t_own)
+    grid = cfg.transport_grid()
+    setting_a, setting_b, b_seen_by_a, a_seen_by_b = entry_reads(
+        timelines, cfg.mode, _launches(cfg), cfg.flight_time, grid.n_steps * grid.dt)
     detected = survival(cfg, timelines)
     return PairTable(
         pair_id=np.arange(cfg.n_pairs),
@@ -708,8 +665,8 @@ def prepare_pairs(cfg: ExperimentConfig, draws: tuple | None = None) -> PairTabl
         setting_b=setting_b,
         a_index=_menu_indices(cfg.angles_a, setting_a),
         b_index=_menu_indices(cfg.angles_b, setting_b),
-        b_seen_by_a=timelines.side_b.angles_at(t_partner),
-        a_seen_by_b=timelines.side_a.angles_at(t_partner),
+        b_seen_by_a=b_seen_by_a,
+        a_seen_by_b=a_seen_by_b,
         switched_a=detected.switched_a,
         switched_b=detected.switched_b,
         survived_a=detected.survived_a,

@@ -8,8 +8,9 @@ both sides with the station separation and the speed at which setting
 news is allowed to travel.
 
 ``read_times`` gives the instants at which a side reads the angles it
-uses to evaluate the guidance law at each of many times t, and
-``effective_settings`` the setting pair it reads at one such time:
+uses to evaluate the guidance law at each of many times t,
+``effective_settings`` the setting pair it reads at one such time and
+``entry_reads`` every pair's angles as read at magnet entry:
 
 * its own angle is always the current one, read at t;
 * in nonlocal mode the partner angle is also current;
@@ -164,3 +165,45 @@ def effective_settings(
     t_own, t_partner = read_times(t_eval, timelines, mode)
     t_a, t_b = (t_own, t_partner) if side is Side.L else (t_partner, t_own)
     return SettingPair(timelines.side_a.angle_at(t_a), timelines.side_b.angle_at(t_b))
+
+
+def entry_reads(timelines: SettingTimelines, mode: InformationMode, launches: np.ndarray,
+                flight: float, transit: float) -> tuple[np.ndarray, ...]:
+    """Each pair's ``setting_a``, ``setting_b``, ``b_seen_by_a`` and ``a_seen_by_b``.
+
+    Pair i enters its magnets at launches[i] + flight and each side reads at
+    ``read_times`` of that instant. A read at r holds until that side's next
+    switch, so it is refused if that switch comes before r + transit (a switch
+    at r is read there), as is a read before an explicit list starts and a pair
+    still in its magnets at the next launch.
+    """
+    t_own, t_partner = read_times(flight, timelines, mode, launches)
+    late = t_own[:-1] + transit > launches[1:]
+    if late.any():
+        i = int(np.argmax(late))
+        raise ConfigError(f"pair_period must cover flight plus magnet transit: pair {i} leaves "
+                          f"its magnets at {float(t_own[i] + transit)!r} s, after launch {i + 1} "
+                          f"at {float(launches[i + 1])!r} s")
+    reads = [(t_own, "analyzer {side} switches"),
+             (t_partner, "news of analyzer {side}'s switch reaches side {partner}")]
+    angles = []
+    for side, partner, timeline in (("A", "B", timelines.side_a), ("B", "A", timelines.side_b)):
+        # pair 0's partner read is the earliest; only an explicit list starts at a finite time
+        if t_partner[0] < timeline.times[0]:
+            raise ConfigError(f"explicit_{side.lower()} must start at or before t = "
+                              f"{float(t_partner[0])!r} s, where side {partner} reads it for "
+                              f"pair 0 in local mode")
+        switches = np.append(timeline.times, math.inf)
+        for t_read, what in reads:
+            i = np.searchsorted(timeline.times, t_read, side="right")
+            inside = switches[i] < t_read + transit
+            if inside.any():
+                k = int(np.argmax(inside))
+                entry = float(t_own[k])
+                raise ConfigError(
+                    f"pair {k}: {what.format(side=side, partner=partner)} inside its magnet "
+                    f"transit ({entry!r}, {entry + transit!r}) s; settings are read once, "
+                    f"at magnet entry")
+            angles.append(timeline.angles[i - 1])
+    setting_a, a_seen_by_b, setting_b, b_seen_by_a = angles
+    return setting_a, setting_b, b_seen_by_a, a_seen_by_b

@@ -450,6 +450,52 @@ def test_explicit_switch_at_inf_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run-epr", "dump-trajectories"])
+def test_refused_read_leaves_no_output_directory(tmp_path, capsys, command):
+    # pair 0 is in the magnets from 3.5 to 6.5 ms, and A switches at 5.5 ms
+    ini = tmp_path / "r.ini"
+    ini.write_text("[experiment]\nswitch_policy_a = explicit_list\n"
+                   "explicit_a = -1.0:0.0;0.0055:1.0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(ini), "--pairs", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: pair 0: analyzer A switches inside its "
+                          "magnet transit (0.0035, 0.0065")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("physics", "beam_speed = nan", "config key physics.beam_speed: NaN is not allowed"),
+    ("experiment", "angles_a = 0.0, 1.0, 2.0",
+     "config key experiment.angles_a: expected two comma-separated angles"),
+    ("experiment", "switch_policy_a = explicit_list\nexplicit_a = -1.0:0.0;0.5",
+     "config key experiment.explicit_a: entries must look like time:angle"),
+    ("experiment", "source_to_magnet = -1.0", "source_to_magnet must be non-negative"),
+])
+def test_config_value_refusals_exit_2_before_any_output(tmp_path, capsys, section, line,
+                                                        message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{line}\n")
+    out = tmp_path / "run"
+    assert main(["run-epr", "--config", str(ini), "--pairs", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_explicit_list_skips_an_empty_chunk():
+    cfg, _ = build_config(read_config_text(
+        "[experiment]\nswitch_policy_a = explicit_list\nexplicit_a = -1.0:0.0;; 0.5:1.0\n"), {})
+    assert cfg.explicit_a == ((-1.0, 0.0), (0.5, 1.0))
+
+
+def test_table1_row_with_an_empty_cell_exits_3(tmp_path, capsys):
+    # four pairs cannot fill the four cells of every row
+    assert main(["table1", "--pairs", "4", "--seed", "0", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: row \S+ left an empty setting cell\n", err)
+
+
 def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     code = main(["run-epr", "--config", str(tmp_path), "--pairs", "4",
                  "--out", str(tmp_path / "run")])
@@ -490,7 +536,7 @@ def test_angle_difference_out_of_float_range_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "configuration error: pair 2: side A's view holds angles 1e+308 and -1e+308, "
         "whose difference overflows\n")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_read_whose_transit_rounds_away_runs(tmp_path):

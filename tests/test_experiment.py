@@ -163,6 +163,8 @@ def test_chsh_names_empty_cell():
         chsh((0.0, 0.0, 0.0, 0.0), (10, 10, 0, 10))
     with pytest.raises(EstimationError, match="non-finite"):
         chsh((0.0, math.nan, 0.0, 0.0), (10, 10, 10, 10))
+    with pytest.raises(EstimationError, match="^need exactly four correlator cells$"):
+        chsh((0.0, 0.0, 0.0), (10, 10, 10))
 
 
 def test_experiment_config_validation():
@@ -638,6 +640,60 @@ def test_local_read_before_an_explicit_list_starts_names_the_list():
     assert prepare_pairs(early).a_seen_by_b[0] == 0.0
     # in nonlocal mode every read falls at or after magnet entry
     assert prepare_pairs(replace(cfg, mode=InformationMode.NONLOCAL)).setting_a[0] == 0.0
+
+
+def _launch_list(menu, draws, period):
+    """An explicit list that takes menu[draws[k]] at launch k, from t = -0.01 s on.
+
+    -0.01 s precedes pair 0's local read of its partner at -9 ms.
+    """
+    angles = np.array(menu)[draws]
+    times = np.arange(len(draws), dtype=float) * period
+    times[0] = -0.01
+    keep = np.append(True, angles[1:] != angles[:-1])
+    return tuple(zip(times[keep].tolist(), angles[keep].tolist()))
+
+
+@pytest.mark.parametrize("flipped, far, seen", [("B", "a", "b_seen_by_a"),
+                                                 ("A", "b", "a_seen_by_b")])
+def test_a_partner_switch_after_the_news_horizon_moves_no_outcome(flipped, far, seen):
+    # Both sides run explicit lists of per-launch menu draws. Flipping one
+    # side's angle at launches K = 3, 8, ..., 398 cannot reach the far
+    # side's pair K in local mode: its partner read falls 9 ms before
+    # launch K (12.5 ms of news against a 10 ms period), so pair K's far
+    # outcome stays bit for bit. Pair K + 1 reads launch K and may move.
+    n, seed = 400, 11
+    bench = ExperimentConfig(n_pairs=n, master_seed=seed, mode=InformationMode.LOCAL,
+                             switch_policy_a=SwitchPolicy.EXPLICIT_LIST,
+                             switch_policy_b=SwitchPolicy.EXPLICIT_LIST,
+                             explicit_a=((-math.inf, 0.0),), explicit_b=((-math.inf, 0.0),))
+    ks = np.arange(3, n, 5)
+    lists = {}
+    for side, menu, drawn in zip("AB", (bench.angles_a, bench.angles_b),
+                                 pair_draws(seed, n, bench.physics.packet_width)[:2]):
+        flip = drawn.copy()
+        if side == flipped:
+            flip[ks] = 1 - flip[ks]
+        lists[side] = [_launch_list(menu, d, bench.pair_period) for d in (drawn, flip)]
+    moved = {}
+    for label, fields in (("local", {}),
+                          ("inefficient", dict(efficiency=Efficiency.INEFFICIENT,
+                                               kick_threshold=0.0)),
+                          ("nonlocal", dict(mode=InformationMode.NONLOCAL))):
+        before, after = (run_epr(replace(bench, explicit_a=lists["A"][k],
+                                         explicit_b=lists["B"][k], **fields)).records
+                         for k in (0, 1))
+        outcome = [getattr(r, f"outcome_{far}") for r in (before, after)]
+        moved[label] = [int((outcome[0][j] != outcome[1][j]).sum()) for j in (ks, ks[:-1] + 1)]
+        if label != "nonlocal":
+            assert np.array_equal(outcome[0][ks], outcome[1][ks])
+            assert np.array_equal(getattr(before, seen)[ks], getattr(after, seen)[ks])
+            assert np.array_equal(getattr(before, f"survived_{far}"),
+                                  getattr(after, f"survived_{far}"))
+    # the flips do reach pair K + 1 in local mode ...
+    assert moved["local"][1] > 0
+    # ... and pair K itself in nonlocal mode, so the test can fail
+    assert moved["nonlocal"][0] > 0
 
 
 def test_view_weights_are_keyed_by_angle_difference():

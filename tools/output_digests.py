@@ -1,4 +1,4 @@
-"""Print one sha256 per output file and per stdout of the benchmark's workloads.
+"""Print one sha256 per output file, stdout and stderr of the benchmark's workloads.
 
     python3 tools/output_digests.py [--root TREE] [--seeds 0 101 ...] > digests.json
 
@@ -8,7 +8,7 @@ per seed through ``bohm_epr.cli.main`` of the source tree TREE (default:
 the checkout this script lives in), in a temporary directory. Before
 hashing, it drops the keys ``runtime_s``, ``started_utc`` and
 ``finished_utc`` from every JSON object at any depth, and replaces the
-temporary directory's path with ``<tmp>`` in stdout and in every file;
+temporary directory's path with ``<tmp>`` in stdout, stderr and every file;
 a JSON file is hashed as its stripped value, re-serialised in key order,
 so a change of its layout alone does not show. Two trees give the same
 outputs on these workloads when their JSON digests compare equal:
@@ -27,6 +27,13 @@ that transports only the counted pairs (three blocks) and a 5000-pair
 local dump (two blocks), at the program's default bench, and
 ``hooke-demo`` with all four couplings on one shared grid whose last
 block of 256 rows is partial (it takes no seed, so every seed repeats it).
+
+No workload switches from an explicit list, so the operations of
+``EXPLICIT`` run under the name ``explicit``, each from an INI file
+written into the temporary directory: a local run with both sides on
+explicit lists and ``--events``, and a run that is refused because news
+of A's 12 ms switch reaches B inside pair 2's magnet transit. A refused
+run's stderr and exit code are digested like any other's.
 """
 
 from __future__ import annotations
@@ -51,6 +58,18 @@ BLOCKS = (
     ("hooke-demo", ("hooke-demo", "--coupling", "all", "--dt", "0.001", "--periods", "2.37"),
      False),
 )
+# (label, INI text, argv without --config, --seed and --out) of the
+# operations that read explicit switching lists
+EXPLICIT = (
+    ("run-epr", "[experiment]\nmode = local\nswitch_policy_a = explicit_list\n"
+                "explicit_a = -1.0:0.0; 0.0205:1.5707963267948966; 0.047:0.0\n"
+                "switch_policy_b = explicit_list\nexplicit_b = -1.0:0.7853981633974483; "
+                "0.0305:2.356194490087622; 0.0805:0.7853981633974483\n",
+     ("run-epr", "--pairs", "40", "--events")),
+    ("refused", "[experiment]\nmode = local\nswitch_policy_a = explicit_list\n"
+                "explicit_a = -1.0:0.0; 0.012:1.5707963267948966\nswitch_policy_b = static\n",
+     ("run-epr", "--pairs", "4")),
+)
 DEFAULT_SEEDS = (0, 101, 614, 2**64 - 1)
 
 
@@ -71,34 +90,48 @@ def _digest(data: bytes, tmp: str, is_json: bool) -> str:
 
 
 def _operations(workloads, workload: str, seed: int, tmp: str, out_root: str) -> list:
-    """The operations of one workload at one seed; ``blocks`` is this script's own."""
-    if workload != "blocks":
+    """One workload's operations at one seed; ``blocks`` and ``explicit`` are this script's."""
+    if workload == "blocks":
+        return [workloads.Operation(
+                    label, (*argv, *(("--seed", str(seed)) if seeded else ()), "--out", out), out)
+                for label, argv, seeded in BLOCKS for out in [os.path.join(out_root, label)]]
+    if workload != "explicit":
         return workloads.operations(workload, seed, tmp, out_root)
-    return [workloads.Operation(
-                label, (*argv, *(("--seed", str(seed)) if seeded else ()), "--out", out), out)
-            for label, argv, seeded in BLOCKS for out in [os.path.join(out_root, label)]]
+    ops = []
+    for label, ini, argv in EXPLICIT:
+        config, out = os.path.join(tmp, f"{label}.ini"), os.path.join(out_root, label)
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(ini)
+        ops.append(workloads.Operation(
+            label, (*argv, "--config", config, "--seed", str(seed), "--out", out), out))
+    return ops
 
 
 def digests(root: str, seeds) -> dict:
-    """{workload: {seed: {label: {"exit": code, "stdout": sha, "<file>": sha}}}}."""
+    """{workload: {seed: {label: {"exit": code, "stdout": sha, "stderr": sha, "<file>": sha}}}}.
+
+    A refused operation may leave no output directory; it then digests no file.
+    """
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import bohm_epr.cli as cli
     import workloads
     result = {}
-    for workload in (*workloads.WORKLOADS, "blocks"):
+    for workload in (*workloads.WORKLOADS, "blocks", "explicit"):
         per_seed = result[workload] = {}
         for seed in seeds:
             ops = per_seed[str(seed)] = {}
             with tempfile.TemporaryDirectory() as tmp:
                 out_root = os.path.join(tmp, "out")
                 for op in _operations(workloads, workload, seed, tmp, out_root):
-                    buf = io.StringIO()
-                    with contextlib.redirect_stdout(buf):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = cli.main(list(op.argv))
                     entry = ops[op.label] = {
                         "exit": code,
-                        "stdout": _digest(buf.getvalue().encode(), tmp, False)}
-                    for name in sorted(os.listdir(op.out_dir)):
+                        "stdout": _digest(out.getvalue().encode(), tmp, False),
+                        "stderr": _digest(err.getvalue().encode(), tmp, False)}
+                    names = os.listdir(op.out_dir) if os.path.isdir(op.out_dir) else []
+                    for name in sorted(names):
                         with open(os.path.join(op.out_dir, name), "rb") as fh:
                             entry[name] = _digest(fh.read(), tmp, name.endswith(".json"))
     return result
