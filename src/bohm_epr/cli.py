@@ -12,7 +12,8 @@ Subcommands:
   few pairs of a run.
 
 A command's output files appear in its output directory together, once
-all of them are written, or not at all.
+all of them are written, or not at all: a failed command also removes
+every directory it made.
 
 Configuration comes from an INI file with flat key = value lines. The
 keys are the field names of ExperimentConfig, in field order: the fields
@@ -62,7 +63,6 @@ from .experiment import (
     run_epr,
     setting_timelines,
     survival,
-    table1_configs,
     table1_run,
     transport_views,
     write_events_csv,
@@ -313,15 +313,20 @@ def _write_json(path: str, doc: dict) -> str:
 def _run_files(out_dir: str):
     """Publish a command's outputs in ``out_dir`` all together, or none of them.
 
-    Yields ``stage(name)``, the temporary path in ``out_dir`` to write
-    output ``name`` to. When the block ends, each staged file is renamed
-    to its name in staging order, so the manifest, staged last, comes
-    last. When the block or a rename fails, every staged file and every
-    file already renamed is removed, and an OSError about a staged file
-    is raised again under the output's own name. An OSError that names
-    no file, as a failed write to an open file does, is about the output
-    staged last.
+    Creates ``out_dir`` and its missing parents, then yields
+    ``stage(name)``, the temporary path in ``out_dir`` to write output
+    ``name`` to. When the block ends, each staged file is renamed to its
+    name in staging order, so the manifest, staged last, comes last.
+    When the block or a rename fails, every staged file, every file
+    already renamed and every directory created here, leaf first, is
+    removed, and an OSError about a staged file is raised again under the
+    output's own name. An OSError that names no file, as a failed write
+    to an open file does, is about the output staged last.
     """
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     staged: dict[str, str] = {}
 
     def stage(name: str) -> str:
@@ -331,6 +336,10 @@ def _run_files(out_dir: str):
 
     placed = []
     try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}") from err
         yield stage
         for tmp, final in staged.items():
             os.replace(tmp, final)
@@ -339,6 +348,9 @@ def _run_files(out_dir: str):
         for path in (*staged, *placed):
             with contextlib.suppress(OSError):
                 os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         if isinstance(err, OSError) and staged and err.filename in (*staged, None):
             name = staged.get(err.filename) or [*staged.values()][-1]
             raise OSError(err.errno, err.strerror, name) from err
@@ -347,14 +359,6 @@ def _run_files(out_dir: str):
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _ensure_out(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
-    return path
 
 
 def _load_file_values(path: str | None) -> dict:
@@ -381,7 +385,6 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
     cfg, provenance = build_config(_load_file_values(args.config),
                                    _overrides_from_args(args))
     report = run_epr(cfg, every_outcome=args.events)
-    out_dir = _ensure_out(args.out)
     if args.rates:
         # the parked bench never switches, so its counts need no draw and no transport
         quiet = quiescent_config(cfg)
@@ -393,7 +396,7 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
                 "systems": report.systems}
 
     files = ["report.json", "manifest.json"]
-    with _run_files(out_dir) as stage:
+    with _run_files(args.out) as stage:
         _write_json(stage("report.json"), report_json_dict(report))
         if args.events:
             write_events_csv(report, stage("events.csv"))
@@ -410,7 +413,7 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
         print(f"run-epr: {cfg.mode.value}, {cfg.n_pairs} pairs, "
               f"S undefined (empty setting cell), "
               f"coincidences = {report.coincidences}")
-    print(f"wrote {', '.join(sorted(files))} in {out_dir}")
+    print(f"wrote {', '.join(sorted(files))} in {args.out}")
     return 0
 
 
@@ -420,9 +423,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     replicates = args.replicates
     if replicates < 1:
         raise ConfigError("--replicates must be at least 1")
-    # the rows' configs refuse a bad --pairs before the output directory exists
-    table1_configs(seed, args.pairs)
-    out_dir = _ensure_out(args.out)
 
     all_rows = [
         table1_run(master_seed=seed, n_pairs=args.pairs, replicate=r)
@@ -473,13 +473,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
          "config_sha256": config_digest(row.config)}
         for r, rows in enumerate(all_rows) for row in rows
     ]
-    with _run_files(out_dir) as stage:
+    with _run_files(args.out) as stage:
         _write_json(stage("table1.json"), table_doc)
         write_manifest(stage("manifest.json"), None, ["table1.json", "manifest.json"],
                        "table1", {"seed_source": seed_source}, started,
                        extra={"seed": seed, "rows": runs, "counters": {
                            "systems": sum(rows[0].systems for rows in all_rows)}})
-    print(f"wrote table1.json, manifest.json in {out_dir}")
+    print(f"wrote table1.json, manifest.json in {args.out}")
     return 0
 
 
@@ -522,11 +522,10 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     steps = {mode: _default_spring_step(params, mode, duration) if args.dt is None else args.dt
              for mode in modes}
     n_steps = {m.value: spring_grid(params, m, duration, dt).n_steps for m, dt in steps.items()}
-    out_dir = _ensure_out(args.out)
 
     names = {mode: f"hooke_{mode.value}.csv" for mode in steps}
     files = ["manifest.json", *names.values()]
-    with _run_files(out_dir) as stage:
+    with _run_files(args.out) as stage:
         runs = {mode: (steps[mode], stage(name)) for mode, name in names.items()}
         for mode, ends in write_spring_csvs(params, duration, runs):
             e_0, e_end = spring_energy(params, ends)
@@ -537,7 +536,7 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
                        {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
                         "dt": {m.value: dt for m, dt in steps.items()}}, started,
                        extra={"counters": {"steps": n_steps}})
-    print(f"wrote {', '.join(sorted(files))} in {out_dir}")
+    print(f"wrote {', '.join(sorted(files))} in {args.out}")
     return 0
 
 
@@ -558,10 +557,9 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
                           "dump fewer pairs or raise --record-every")
     table = prepare_pairs(cfg)
     z_l, z_r, [views] = transport_views([table], [cfg], args.record_every)
-    out_dir = _ensure_out(args.out)
     # each recorded step's "step,t," is formatted once for every view
     stamps = [f"{step},{step * cfg.dt!r}," for step in icfg.recorded_steps()]
-    with _run_files(out_dir) as stage:
+    with _run_files(args.out) as stage:
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
             fh.write("pair_id,view,step,t,z_L,z_R\n")
             for pair_id, systems in enumerate(views[:n_dump].tolist()):
@@ -570,7 +568,7 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
                                       in zip(stamps, z_l[:, s].tolist(), z_r[:, s].tolist())]))
         write_manifest(stage("manifest.json"), cfg, ["trajectories.csv", "manifest.json"],
                        "dump-trajectories", provenance, started)
-    print(f"dumped {n_dump} pairs to trajectories.csv in {out_dir}")
+    print(f"dumped {n_dump} pairs to trajectories.csv in {args.out}")
     return 0
 
 

@@ -2,15 +2,12 @@
 
 A ``SideTimeline`` is the switching history of one analyzer: sorted
 ``times`` and the ``angles`` that take effect at them, the first time at
-or before t = 0. A query before the first time has no answer; the run
-refuses a local-mode read that falls there. ``SettingTimelines`` bundles
-both sides with the station separation and the speed at which setting
-news is allowed to travel.
+or before t = 0. A read before the first time has no answer and is
+refused. ``SettingTimelines`` bundles both sides with the station
+separation and the speed at which setting news is allowed to travel.
 
-``read_times`` gives the instants at which a side reads the angles it
-uses to evaluate the guidance law at each of many times t,
-``effective_settings`` the setting pair it reads at one such time and
-``entry_reads`` every pair's angles as read at magnet entry:
+``entry_reads`` gives every pair's angles as read at magnet entry, and
+``effective_settings`` is the ``entry_reads`` of one launch, at t:
 
 * its own angle is always the current one, read at t;
 * in nonlocal mode the partner angle is also current;
@@ -82,15 +79,6 @@ class SideTimeline:
             return NotImplemented
         return np.array_equal(self.times, other.times) and np.array_equal(self.angles, other.angles)
 
-    def angles_at(self, t: np.ndarray) -> np.ndarray:
-        """The angle in force at each time t (change points take effect at t)."""
-        if np.isnan(t).any():
-            raise ConfigError("query time must not be NaN")
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        if (idx < 0).any():
-            raise ConfigError(f"no timeline entry at or before t = {float(t[idx < 0][0])!r}")
-        return self.angles[idx]
-
     def changes_in(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Whether any switch time falls inside each closed window [t0, t1]."""
         if (t1 < t0).any():
@@ -99,8 +87,13 @@ class SideTimeline:
                 > np.searchsorted(self.times, t0, side="left"))
 
     def angle_at(self, t: float) -> float:
-        """One-element ``angles_at``."""
-        return float(self.angles_at(np.array([t]))[0])
+        """The angle in force at time t (change points take effect at t)."""
+        if math.isnan(t):
+            raise ConfigError("query time must not be NaN")
+        i = int(np.searchsorted(self.times, t, side="right"))
+        if i == 0:
+            raise ConfigError(f"no timeline entry at or before t = {float(t)!r}")
+        return float(self.angles[i - 1])
 
     def has_change_in(self, t0: float, t1: float) -> bool:
         """One-element ``changes_in``."""
@@ -138,46 +131,39 @@ class SettingTimelines:
         return self.separation / self.signal_speed
 
 
-def read_times(
-    t_eval: np.ndarray | float,
-    timelines: SettingTimelines,
-    mode: InformationMode,
-    origin: np.ndarray | float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The times a side reads its own angle and its partner's at each origin + t_eval.
-
-    In local mode the partner angle is read at origin + (t_eval - news_delay),
-    so a delay shorter than t_eval sees a switch at the origin however sums round.
-    """
-    if not (np.isfinite(t_eval).all() and np.isfinite(origin).all()):
-        raise ConfigError("t_eval and origin must be finite")
-    lag = t_eval if mode is InformationMode.NONLOCAL else t_eval - timelines.news_delay
-    return origin + t_eval, origin + lag
-
-
 def effective_settings(
     side: Side,
     t_eval: float,
     timelines: SettingTimelines,
     mode: InformationMode,
 ) -> SettingPair:
-    """The setting pair one side attributes to the apparatus at t_eval, read at ``read_times``."""
-    t_own, t_partner = read_times(t_eval, timelines, mode)
-    t_a, t_b = (t_own, t_partner) if side is Side.L else (t_partner, t_own)
-    return SettingPair(timelines.side_a.angle_at(t_a), timelines.side_b.angle_at(t_b))
+    """The setting pair one side attributes to the apparatus at t_eval.
+
+    These are the ``entry_reads`` of one launch at t = 0, with flight t_eval and no transit.
+    """
+    setting_a, setting_b, b_seen_by_a, a_seen_by_b = (
+        float(column[0]) for column in entry_reads(timelines, mode, np.zeros(1), t_eval, 0.0))
+    if side is Side.L:
+        return SettingPair(setting_a, b_seen_by_a)
+    return SettingPair(a_seen_by_b, setting_b)
 
 
 def entry_reads(timelines: SettingTimelines, mode: InformationMode, launches: np.ndarray,
                 flight: float, transit: float) -> tuple[np.ndarray, ...]:
     """Each pair's ``setting_a``, ``setting_b``, ``b_seen_by_a`` and ``a_seen_by_b``.
 
-    Pair i enters its magnets at launches[i] + flight and each side reads at
-    ``read_times`` of that instant. A read at r holds until that side's next
-    switch, so it is refused if that switch comes before r + transit (a switch
-    at r is read there), as is a read before an explicit list starts and a pair
-    still in its magnets at the next launch.
+    Pair i enters its magnets at launches[i] + flight, where each side reads
+    its own angle. A read at r holds until that side's next switch, so it is
+    refused if that switch comes before r + transit (a switch at r is read
+    there), as is a read before an explicit list starts and a pair still in
+    its magnets at the next launch.
     """
-    t_own, t_partner = read_times(flight, timelines, mode, launches)
+    if not (np.isfinite(flight) and np.isfinite(launches).all()):
+        raise ConfigError("launches and flight must be finite")
+    # in local mode the partner reads at launches + (flight - news_delay), so a
+    # delay shorter than the flight sees a switch at the launch however sums round
+    lag = flight if mode is InformationMode.NONLOCAL else flight - timelines.news_delay
+    t_own, t_partner = launches + flight, launches + lag
     late = t_own[:-1] + transit > launches[1:]
     if late.any():
         i = int(np.argmax(late))
@@ -192,7 +178,7 @@ def entry_reads(timelines: SettingTimelines, mode: InformationMode, launches: np
         if t_partner[0] < timeline.times[0]:
             raise ConfigError(f"explicit_{side.lower()} must start at or before t = "
                               f"{float(t_partner[0])!r} s, where side {partner} reads it for "
-                              f"pair 0 in local mode")
+                              f"pair 0 in {mode.value} mode")
         switches = np.append(timeline.times, math.inf)
         for t_read, what in reads:
             i = np.searchsorted(timeline.times, t_read, side="right")

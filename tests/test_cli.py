@@ -496,6 +496,18 @@ def test_table1_row_with_an_empty_cell_exits_3(tmp_path, capsys):
     assert re.fullmatch(r"numerical failure: row \S+ left an empty setting cell\n", err)
 
 
+def test_a_failed_command_removes_the_directories_it_made_and_no_other(tmp_path, capsys):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "old.txt").write_text("old\n")
+    for out in (tmp_path / "a" / "b" / "c", kept, kept / "d" / "e"):
+        assert main(["table1", "--pairs", "4", "--seed", "0", "--out", str(out)]) == 3
+        assert "left an empty setting cell" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    assert [p.name for p in kept.iterdir()] == ["old.txt"]
+    assert (kept / "old.txt").read_text() == "old\n"
+
+
 def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     code = main(["run-epr", "--config", str(tmp_path), "--pairs", "4",
                  "--out", str(tmp_path / "run")])
@@ -818,7 +830,7 @@ def test_hooke_demo_default_retarded_step_falls_back_to_the_period(tmp_path, cap
         assert manifest["counters"] == {"steps": {"retarded": 2000}}
     else:
         assert capsys.readouterr().err == "numerical failure: non-finite state at step 11\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):
@@ -859,7 +871,7 @@ def test_hooke_demo_divergence_is_a_numerical_failure_and_writes_nothing(tmp_pat
     assert main(["hooke-demo", "--tau", "1e10", "--periods", "1", *argv,
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: non-finite state at step 11\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_dump_trajectories(tmp_path):

@@ -22,16 +22,20 @@ from bohm_epr import (
     InformationMode,
     IntegrationDiverged,
     Normalization,
+    SettingTimelines,
+    Side,
     SideTimeline,
     SwitchPolicy,
     chsh,
     count_rates,
     detector_loss,
+    effective_settings,
     kick_ratio,
     quiescent_config,
     report_json_dict,
     run_epr,
     setting_timelines,
+    static_timeline,
     survival,
     table1_run,
     write_events_csv,
@@ -642,6 +646,20 @@ def test_local_read_before_an_explicit_list_starts_names_the_list():
     assert prepare_pairs(replace(cfg, mode=InformationMode.NONLOCAL)).setting_a[0] == 0.0
 
 
+def test_a_library_query_before_a_list_starts_names_its_mode():
+    # effective_settings is one launch of entry_reads, so it refuses what a run would
+    tls = SettingTimelines(side_a=SideTimeline(entries=((-0.05, 0.7),)),
+                           side_b=static_timeline(0.0), separation=1.0, signal_speed=10.0)
+    for side in Side:
+        with pytest.raises(ConfigError, match=r"^explicit_a must start at or before t = -0\.1 s, "
+                                              r"where side B reads it for pair 0 in local mode$"):
+            effective_settings(side, 0.0, tls, InformationMode.LOCAL)
+        assert effective_settings(side, 0.0, tls, InformationMode.NONLOCAL).angle_a == 0.7
+    with pytest.raises(ConfigError, match=r"^explicit_a must start at or before t = -0\.6 s, "
+                                          r"where side B reads it for pair 0 in nonlocal mode$"):
+        effective_settings(Side.L, -0.6, tls, InformationMode.NONLOCAL)
+
+
 def _launch_list(menu, draws, period):
     """An explicit list that takes menu[draws[k]] at launch k, from t = -0.01 s on.
 
@@ -694,6 +712,36 @@ def test_a_partner_switch_after_the_news_horizon_moves_no_outcome(flipped, far, 
     assert moved["local"][1] > 0
     # ... and pair K itself in nonlocal mode, so the test can fail
     assert moved["nonlocal"][0] > 0
+
+
+def test_initial_positions_are_independent_of_the_menu_draws():
+    # measurement independence: in every (a_rand, b_rand) cell both packets
+    # keep mean 0 and sd packet_width, within 4 sigma of each estimate
+    width = ExperimentConfig().physics.packet_width
+    a_rand, b_rand, z_l0, z_r0 = pair_draws(2024, 100_000, width)
+    for i in (0, 1):
+        for j in (0, 1):
+            cell = (a_rand == i) & (b_rand == j)
+            n = int(cell.sum())
+            assert n > 20_000
+            for z in (z_l0[cell], z_r0[cell]):
+                assert abs(z.mean()) < 4.0 * width / math.sqrt(n)
+                assert abs(z.std(ddof=1) - width) < 4.0 * width / math.sqrt(2 * (n - 1))
+
+
+@pytest.mark.parametrize("mode", list(InformationMode))
+def test_each_sides_marginal_is_one_half_in_every_cell(mode):
+    # no-signalling: the guidance law is odd under z -> -z and the Born
+    # packets are symmetric, so P(o = +1 | a, b) = 1/2 on both sides
+    for seed in (1, 2, 3):
+        t = run_epr(ExperimentConfig(n_pairs=2000, master_seed=seed, mode=mode)).records
+        for i in (0, 1):
+            for j in (0, 1):
+                cell = (t.a_index == i) & (t.b_index == j)
+                for outcome in (t.outcome_a[cell], t.outcome_b[cell]):
+                    n = outcome.size
+                    assert n > 0 and (outcome != 0).all()
+                    assert abs((outcome == 1).sum() - n / 2) < 4.0 * math.sqrt(n / 4)
 
 
 def test_view_weights_are_keyed_by_angle_difference():

@@ -34,6 +34,11 @@ written into the temporary directory: a local run with both sides on
 explicit lists and ``--events``, and a run that is refused because news
 of A's 12 ms switch reaches B inside pair 2's magnet transit. A refused
 run's stderr and exit code are digested like any other's.
+
+The operations of ``FAILURES`` run under the name ``failures``: a
+``table1`` too small to fill every setting cell and a ``hooke-demo``
+that diverges, each of which exits 3. For every operation the script
+also digests whether its output directory exists afterwards.
 """
 
 from __future__ import annotations
@@ -70,6 +75,14 @@ EXPLICIT = (
                 "explicit_a = -1.0:0.0; 0.012:1.5707963267948966\nswitch_policy_b = static\n",
      ("run-epr", "--pairs", "4")),
 )
+# (label, argv without --seed and --out, whether it takes --seed) of the
+# operations that fail numerically
+FAILURES = (
+    ("table1", ("table1", "--pairs", "4"), True),
+    ("hooke-demo", ("hooke-demo", "--coupling", "expanded", "--tau", "1e10", "--periods", "1"),
+     False),
+)
+FIXED = {"blocks": BLOCKS, "failures": FAILURES}
 DEFAULT_SEEDS = (0, 101, 614, 2**64 - 1)
 
 
@@ -90,11 +103,12 @@ def _digest(data: bytes, tmp: str, is_json: bool) -> str:
 
 
 def _operations(workloads, workload: str, seed: int, tmp: str, out_root: str) -> list:
-    """One workload's operations at one seed; ``blocks`` and ``explicit`` are this script's."""
-    if workload == "blocks":
+    """One workload's operations at one seed; ``explicit`` and FIXED's groups are this script's."""
+    if workload in FIXED:
         return [workloads.Operation(
                     label, (*argv, *(("--seed", str(seed)) if seeded else ()), "--out", out), out)
-                for label, argv, seeded in BLOCKS for out in [os.path.join(out_root, label)]]
+                for label, argv, seeded in FIXED[workload]
+                for out in [os.path.join(out_root, label)]]
     if workload != "explicit":
         return workloads.operations(workload, seed, tmp, out_root)
     ops = []
@@ -108,7 +122,8 @@ def _operations(workloads, workload: str, seed: int, tmp: str, out_root: str) ->
 
 
 def digests(root: str, seeds) -> dict:
-    """{workload: {seed: {label: {"exit": code, "stdout": sha, "stderr": sha, "<file>": sha}}}}.
+    """{workload: {seed: {label: {"exit": code, "out_dir": exists, "stdout": sha, "stderr": sha,
+    "<file>": sha}}}}.
 
     A refused operation may leave no output directory; it then digests no file.
     """
@@ -116,7 +131,7 @@ def digests(root: str, seeds) -> dict:
     import bohm_epr.cli as cli
     import workloads
     result = {}
-    for workload in (*workloads.WORKLOADS, "blocks", "explicit"):
+    for workload in (*workloads.WORKLOADS, *FIXED, "explicit"):
         per_seed = result[workload] = {}
         for seed in seeds:
             ops = per_seed[str(seed)] = {}
@@ -128,9 +143,10 @@ def digests(root: str, seeds) -> dict:
                         code = cli.main(list(op.argv))
                     entry = ops[op.label] = {
                         "exit": code,
+                        "out_dir": os.path.isdir(op.out_dir),
                         "stdout": _digest(out.getvalue().encode(), tmp, False),
                         "stderr": _digest(err.getvalue().encode(), tmp, False)}
-                    names = os.listdir(op.out_dir) if os.path.isdir(op.out_dir) else []
+                    names = os.listdir(op.out_dir) if entry["out_dir"] else []
                     for name in sorted(names):
                         with open(os.path.join(op.out_dir, name), "rb") as fh:
                             entry[name] = _digest(fh.read(), tmp, name.endswith(".json"))
