@@ -13,7 +13,8 @@ Subcommands:
 
 A command's output files appear in its output directory together, once
 all of them are written, or not at all: a failed command also removes
-every directory it made.
+every directory it made. ``_run_files`` writes each manifest.json, which
+lists the files the command staged and itself.
 
 Configuration comes from an INI file with flat key = value lines. The
 keys are the field names of ExperimentConfig, in field order: the fields
@@ -310,18 +311,23 @@ def _write_json(path: str, doc: dict) -> str:
 
 
 @contextlib.contextmanager
-def _run_files(out_dir: str):
-    """Publish a command's outputs in ``out_dir`` all together, or none of them.
+def _run_files(out_dir: str, command: str, cfg: ExperimentConfig | None, provenance: dict,
+               started: str, extra: dict | None = None):
+    """Publish a command's outputs and manifest in ``out_dir`` all together, or none.
 
-    Creates ``out_dir`` and its missing parents, then yields
-    ``stage(name)``, the temporary path in ``out_dir`` to write output
-    ``name`` to. When the block ends, each staged file is renamed to its
-    name in staging order, so the manifest, staged last, comes last.
-    When the block or a rename fails, every staged file, every file
-    already renamed and every directory created here, leaf first, is
-    removed, and an OSError about a staged file is raised again under the
-    output's own name. An OSError that names no file, as a failed write
-    to an open file does, is about the output staged last.
+    Creates ``out_dir`` and its missing parents, then yields ``(stage,
+    files)``: ``stage(name)`` is the temporary path in ``out_dir`` to write
+    output ``name`` to. When the block ends, ``files`` gets the sorted
+    names of the staged outputs and manifest.json, for the caller's
+    summary line, and the manifest of ``command`` (``write_manifest`` with
+    ``cfg``, ``provenance``, ``started`` and ``extra``) is staged last,
+    listing them; no command lists its files itself. Then each staged file
+    is renamed to its name in staging order, so the manifest comes last.
+    When the block, the manifest or a rename fails, every staged file,
+    every file already renamed and every directory created here, leaf
+    first, is removed, and an OSError about a staged file is raised again
+    under the output's own name. An OSError that names no file, as a
+    failed write to an open file does, is about the output staged last.
     """
     made, path = [], os.path.abspath(out_dir)
     while not os.path.exists(path):
@@ -340,7 +346,10 @@ def _run_files(out_dir: str):
             os.makedirs(out_dir, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}") from err
-        yield stage
+        files: list[str] = []
+        yield stage, files
+        files += sorted([*map(os.path.basename, staged.values()), "manifest.json"])
+        write_manifest(stage("manifest.json"), cfg, files, command, provenance, started, extra)
         for tmp, final in staged.items():
             os.replace(tmp, final)
             placed.append(final)
@@ -395,25 +404,18 @@ def _cmd_run_epr(args: argparse.Namespace) -> int:
                 "lost_b": cfg.n_pairs - report.singles_b,
                 "systems": report.systems}
 
-    files = ["report.json", "manifest.json"]
-    with _run_files(args.out) as stage:
+    with _run_files(args.out, "run-epr", cfg, provenance, started,
+                    {"counters": counters}) as (stage, files):
         _write_json(stage("report.json"), report_json_dict(report))
         if args.events:
             write_events_csv(report, stage("events.csv"))
-            files.append("events.csv")
-        write_manifest(stage("manifest.json"), cfg, files, "run-epr", provenance, started,
-                       extra={"counters": counters})
 
     bell = report.bell
-    if bell is not None:
-        print(f"run-epr: {cfg.mode.value}, {cfg.n_pairs} pairs, "
-              f"S_signed = {bell.s_signed:+.4f} (sigma {bell.sigma_s:.4f}), "
-              f"coincidences = {report.coincidences}")
-    else:
-        print(f"run-epr: {cfg.mode.value}, {cfg.n_pairs} pairs, "
-              f"S undefined (empty setting cell), "
-              f"coincidences = {report.coincidences}")
-    print(f"wrote {', '.join(sorted(files))} in {args.out}")
+    s_text = ("S undefined (empty setting cell)" if bell is None
+              else f"S_signed = {bell.s_signed:+.4f} (sigma {bell.sigma_s:.4f})")
+    print(f"run-epr: {cfg.mode.value}, {cfg.n_pairs} pairs, {s_text}, "
+          f"coincidences = {report.coincidences}")
+    print(f"wrote {', '.join(files)} in {args.out}")
     return 0
 
 
@@ -473,12 +475,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
          "config_sha256": config_digest(row.config)}
         for r, rows in enumerate(all_rows) for row in rows
     ]
-    with _run_files(args.out) as stage:
+    with _run_files(args.out, "table1", None, {"seed_source": seed_source}, started,
+                    {"seed": seed, "rows": runs, "counters": {
+                        "systems": sum(rows[0].systems for rows in all_rows)}}) as (stage, _):
         _write_json(stage("table1.json"), table_doc)
-        write_manifest(stage("manifest.json"), None, ["table1.json", "manifest.json"],
-                       "table1", {"seed_source": seed_source}, started,
-                       extra={"seed": seed, "rows": runs, "counters": {
-                           "systems": sum(rows[0].systems for rows in all_rows)}})
     print(f"wrote table1.json, manifest.json in {args.out}")
     return 0
 
@@ -523,20 +523,17 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
              for mode in modes}
     n_steps = {m.value: spring_grid(params, m, duration, dt).n_steps for m, dt in steps.items()}
 
-    names = {mode: f"hooke_{mode.value}.csv" for mode in steps}
-    files = ["manifest.json", *names.values()]
-    with _run_files(args.out) as stage:
-        runs = {mode: (steps[mode], stage(name)) for mode, name in names.items()}
+    with _run_files(args.out, "hooke-demo", None,
+                    {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
+                     "dt": {m.value: dt for m, dt in steps.items()}}, started,
+                    {"counters": {"steps": n_steps}}) as (stage, files):
+        runs = {mode: (dt, stage(f"hooke_{mode.value}.csv")) for mode, dt in steps.items()}
         for mode, ends in write_spring_csvs(params, duration, runs):
             e_0, e_end = spring_energy(params, ends)
             drift = abs(float(e_end - e_0)) / abs(float(e_0))
             print(f"{mode.value:<14} dt = {steps[mode]:.3g}  x1(T) = {ends.x1[-1]:+.6f}  "
                   f"x2(T) = {ends.x2[-1]:+.6f}  energy drift = {drift:.3e}")
-        write_manifest(stage("manifest.json"), None, files, "hooke-demo",
-                       {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
-                        "dt": {m.value: dt for m, dt in steps.items()}}, started,
-                       extra={"counters": {"steps": n_steps}})
-    print(f"wrote {', '.join(sorted(files))} in {args.out}")
+    print(f"wrote {', '.join(files)} in {args.out}")
     return 0
 
 
@@ -559,15 +556,13 @@ def _cmd_dump_trajectories(args: argparse.Namespace) -> int:
     z_l, z_r, [views] = transport_views([table], [cfg], args.record_every)
     # each recorded step's "step,t," is formatted once for every view
     stamps = [f"{step},{step * cfg.dt!r}," for step in icfg.recorded_steps()]
-    with _run_files(args.out) as stage:
+    with _run_files(args.out, "dump-trajectories", cfg, provenance, started) as (stage, _):
         with open(stage("trajectories.csv"), "w", encoding="utf-8") as fh:
             fh.write("pair_id,view,step,t,z_L,z_R\n")
             for pair_id, systems in enumerate(views[:n_dump].tolist()):
                 for view, s in zip("AB", systems):
                     fh.write("".join([f"{pair_id},{view},{stamp}{a!r},{b!r}\n" for stamp, a, b
                                       in zip(stamps, z_l[:, s].tolist(), z_r[:, s].tolist())]))
-        write_manifest(stage("manifest.json"), cfg, ["trajectories.csv", "manifest.json"],
-                       "dump-trajectories", provenance, started)
     print(f"dumped {n_dump} pairs to trajectories.csv in {args.out}")
     return 0
 

@@ -2,9 +2,9 @@
 
 A sandbox for the information-delay idea in a setting where everything
 can be checked against closed-form mechanics. ``simulate_spring`` runs
-one coupling and holds it; ``write_spring_csvs`` runs several and writes
-each to its CSV as its rows are made. A ``SpringMode`` picks one of four
-couplings:
+one coupling and holds it; ``write_spring_csvs`` advances several in one
+loop, writing each block of rows to its CSV as it is made. A
+``SpringMode`` picks one of four couplings:
 
 * ``INSTANTANEOUS``: each mass feels the spring stretched to where the
   other mass is right now,
@@ -45,7 +45,6 @@ grid before it runs any of them.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -311,40 +310,41 @@ def write_spring_csvs(params: HookeParams, duration: float,
                       ) -> Iterator[tuple[SpringMode, SpringTrajectory]]:
     """Run each coupling of ``runs`` ({mode: (dt, path)}) and write its CSV.
 
-    Everything runs on the first ``next``. Couplings that share a dt
-    advance together through ``spring_blocks``, and each block's lines go
-    to the files as ``write_spring_csv`` would write them, so a block's t
-    column is formatted once for all of them and no history-free run is
-    held. Then yields, in ``runs`` order, each coupling with its rows 0
-    and n as a two-row trajectory; at the first coupling that diverged it
-    raises that coupling's ``IntegrationDiverged`` instead, as running the
-    couplings one after another would.
+    Everything runs on the first ``next``. Couplings that share a dt take
+    a block of ``spring_blocks`` each per pass of one loop, and each
+    block's lines go to the files as ``write_spring_csv`` would write them,
+    so a block's t column is formatted once for all and no history-free
+    run is held. A coupling leaves the loop when its blocks end, keeping
+    rows 0 and n as a two-row trajectory, or diverge, keeping its
+    ``IntegrationDiverged`` until its turn: couplings are yielded in
+    ``runs`` order, and the first that diverged raises instead.
     """
     ends: dict[SpringMode, SpringTrajectory | IntegrationDiverged] = {}
     for dt in dict.fromkeys(dt for dt, _ in runs.values()):
-        group = [mode for mode, (step, _) in runs.items() if step == dt]
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(open(runs[mode][1], "w", encoding="utf-8"))
-                     for mode in group]
-            for fh in files:
+            live = {mode: (spring_blocks(params, mode, duration, dt),
+                           stack.enter_context(open(path, "w", encoding="utf-8")))
+                    for mode, (step, path) in runs.items() if step == dt}
+            for _, fh in live.values():
                 _emit(fh, _HEADER)
-            first, last = {}, {}
+            kept = {}   # mode -> (its first row, its last row written)
             at = 0
-            for blocks in itertools.zip_longest(
-                    *(_until_diverged(spring_blocks(params, mode, duration, dt), mode, ends)
-                      for mode in group)):
-                size = next(len(block) for block in blocks if block is not None)
-                stamps = [f"{i * dt!r}," for i in range(at, at + size)]
-                at += size
-                for mode, fh, block in zip(group, files, blocks):
-                    if block is not None:
+            while live:
+                stamps = []
+                for mode, (blocks, fh) in live.items():
+                    try:
+                        block = next(blocks)
+                    except StopIteration:
+                        ends[mode] = SpringTrajectory(np.array([0.0, (at - 1) * dt]),
+                                                      *np.stack(kept[mode]).T)
+                    except IntegrationDiverged as err:
+                        ends[mode] = err
+                    else:
+                        stamps = stamps or [f"{i * dt!r}," for i in range(at, at + len(block))]
                         _emit(fh, _csv_lines(stamps, block[:, 0].tolist(), block[:, 2].tolist()))
-                        first.setdefault(mode, block[0])
-                        last[mode] = block[-1]
-        for mode in group:
-            if mode not in ends:
-                ends[mode] = SpringTrajectory(np.array([0.0, (at - 1) * dt]),
-                                              *np.stack((first[mode], last[mode])).T)
+                        kept[mode] = (kept.get(mode, block)[0], block[-1])
+                at += len(stamps)
+                live = {mode: run for mode, run in live.items() if mode not in ends}
     for mode in runs:
         if isinstance(ends[mode], IntegrationDiverged):
             raise ends[mode]
@@ -365,11 +365,3 @@ def _emit(fh, text: str) -> None:
         with contextlib.suppress(OSError):
             fh.close()
         raise OSError(err.errno, err.strerror, fh.name) from err
-
-
-def _until_diverged(blocks: Iterator[np.ndarray], mode: SpringMode, failures: dict):
-    """The blocks of one run, ending early with its divergence kept in ``failures[mode]``."""
-    try:
-        yield from blocks
-    except IntegrationDiverged as err:
-        failures[mode] = err

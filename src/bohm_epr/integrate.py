@@ -68,6 +68,8 @@ class IntegrationConfig:
             raise ConfigError("dt and duration must be finite")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        if self.duration <= 0.0:
+            raise ConfigError(f"duration must be positive, got {self.duration!r}")
         # compared as a float first: the ratio may overflow to inf
         steps = self.duration / self.dt
         if steps > _MAX_STEPS:

@@ -29,6 +29,7 @@ from bohm_epr import (
     RawPhysicalInputs,
     SettingPair,
     SwitchPolicy,
+    __version__,
     derive_coefficients,
     integrate_batch,
 )
@@ -833,6 +834,14 @@ def test_hooke_demo_default_retarded_step_falls_back_to_the_period(tmp_path, cap
         assert not out.exists()
 
 
+def test_hooke_demo_refuses_a_non_positive_duration_by_name(tmp_path, capsys):
+    # no dt gives zero periods a grid, so the refusal names the duration
+    out = tmp_path / "hooke"
+    assert main(["hooke-demo", "--periods", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: duration must be positive, got 0.0\n"
+    assert not out.exists()
+
+
 def test_hooke_demo_rejects_coarse_step_for_retarded(tmp_path):
     assert main(["hooke-demo", "--coupling", "retarded", "--tau", "0.05",
                  "--dt", "0.05", "--out", str(tmp_path)]) == 2
@@ -1029,3 +1038,17 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.stdout == "False\n"
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    src = pathlib.Path(experiment_mod.__file__).parents[1]
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "bohm_epr", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+
+    version = module("--version")
+    assert (version.returncode, version.stdout) == (0, f"{__version__}\n")
+    kick = module("kick-ratio")
+    assert main(["kick-ratio"]) == 0
+    assert (kick.returncode, kick.stdout) == (0, capsys.readouterr().out)

@@ -25,6 +25,7 @@ from bohm_epr import (
     SettingTimelines,
     Side,
     SideTimeline,
+    Survival,
     SwitchPolicy,
     chsh,
     count_rates,
@@ -515,6 +516,17 @@ def test_count_rates_require_a_quiet_baseline():
         count_rates(report, report)     # baseline has switching enabled
     with pytest.raises(EstimationError):
         count_rates(report, None)
+    # a parked bench that detected nothing, or never both sides of one pair
+    quiet = quiescent_config(cfg)
+    nobody = np.zeros(cfg.n_pairs, dtype=bool)
+    even = np.arange(cfg.n_pairs) % 2 == 0
+    dark = Survival(config=quiet, switched_a=nobody, switched_b=nobody,
+                    survived_a=nobody, survived_b=nobody)
+    with pytest.raises(EstimationError, match="^quiescent baseline recorded no singles$"):
+        count_rates(report, dark)
+    apart = replace(dark, survived_a=even, survived_b=~even)
+    with pytest.raises(EstimationError, match="^quiescent baseline recorded no coincidences$"):
+        count_rates(report, apart)
 
 
 def test_explicit_switch_lists():
@@ -585,6 +597,7 @@ def test_a_shorter_run_prepares_the_first_rows_of_a_longer_one(monkeypatch, expl
     assert drawn == list(range(k))
     assert prefix == PairTable(**{name: column[:k] for name, column in vars(full).items()
                                   if column is not None})
+    assert prefix != vars(prefix)       # the same columns outside a table are not a table
     # local mode reads news of earlier launches, and pairs get lost
     assert _split_views(prefix).any()
     assert not (prefix.survived_a & prefix.survived_b).all()

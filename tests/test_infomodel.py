@@ -59,6 +59,8 @@ def test_timeline_validation():
     tl = timeline((-0.5, 0.7))
     with pytest.raises(ConfigError):
         tl.angle_at(-0.6)
+    with pytest.raises(ConfigError, match="^query time must not be NaN$"):
+        tl.angle_at(math.nan)
 
 
 def test_static_timeline():

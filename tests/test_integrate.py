@@ -53,6 +53,11 @@ def test_config_validation():
         IntegrationConfig(dt=2.0e-3, duration=1.0e-3)      # dt > duration
     with pytest.raises(ConfigError):
         IntegrationConfig(dt=1.0e-6, duration=5.0e-6)      # fewer than 10 steps
+    # refining dt cannot mend an empty or negative grid, so it is refused by name
+    with pytest.raises(ConfigError, match=r"^duration must be positive, got 0\.0$"):
+        IntegrationConfig(dt=1.0e-6, duration=0.0)
+    with pytest.raises(ConfigError, match=r"^duration must be positive, got -0\.001$"):
+        IntegrationConfig(dt=1.0e-6, duration=-1.0e-3)
     with pytest.raises(ConfigError, match="more than 10000000 steps"):
         IntegrationConfig(dt=1.0e-12, duration=3.0e-3)     # 3e9 steps
     with pytest.raises(ConfigError, match="more than 10000000 steps"):

@@ -36,9 +36,12 @@ of A's 12 ms switch reaches B inside pair 2's magnet transit. A refused
 run's stderr and exit code are digested like any other's.
 
 The operations of ``FAILURES`` run under the name ``failures``: a
-``table1`` too small to fill every setting cell and a ``hooke-demo``
-that diverges, each of which exits 3. For every operation the script
-also digests whether its output directory exists afterwards.
+``table1`` too small to fill every setting cell, a ``hooke-demo`` that
+diverges, and under ``hooke-demo-all`` a ``hooke-demo`` whose four
+couplings share one grid while the expanded one diverges, so its stdout
+keeps the lines of the couplings before it; each of them exits 3. For
+every operation the script also digests whether its output directory
+exists afterwards.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ EXPLICIT = (
 FAILURES = (
     ("table1", ("table1", "--pairs", "4"), True),
     ("hooke-demo", ("hooke-demo", "--coupling", "expanded", "--tau", "1e10", "--periods", "1"),
+     False),
+    ("hooke-demo-all", ("hooke-demo", "--coupling", "all", "--tau", "1e10", "--periods", "1"),
      False),
 )
 FIXED = {"blocks": BLOCKS, "failures": FAILURES}
