@@ -132,37 +132,26 @@ def _parse_enum(enum_cls, text: str, where: str):
         raise ConfigError(f"{where}: must be one of {allowed}, got {text!r}") from err
 
 
-@dataclasses.dataclass(frozen=True)
-class _Codec:
-    """How one kind of value is read from and written to INI text."""
-
-    parse: typing.Callable[[str, str], typing.Any]   # (text, where) -> value
-    format: typing.Callable[[typing.Any], str]
-
-
+# (parse, format) by kind of value: parse(text, where) -> value, format(value) -> text
 _CODECS = {
-    float: _Codec(_parse_float, repr),
-    int: _Codec(_parse_int, repr),
-    tuple[float, float]: _Codec(_parse_pair_of_angles, lambda menu: f"{menu[0]!r}, {menu[1]!r}"),
-    tuple[tuple[float, float], ...]: _Codec(
+    float: (_parse_float, repr),
+    int: (_parse_int, repr),
+    tuple[float, float]: (_parse_pair_of_angles, lambda menu: f"{menu[0]!r}, {menu[1]!r}"),
+    tuple[tuple[float, float], ...]: (
         _parse_entries, lambda entries: ";".join(f"{t!r}:{a!r}" for t, a in entries)),
 }
 
 
 @dataclasses.dataclass(frozen=True)
 class _Row:
-    """One config field: its INI section and key, its name and its type."""
+    """One config field: its INI section and key, its name and type, and its INI codec."""
 
     section: str
     key: str
     name: str
     kind: typing.Any
-
-    @property
-    def codec(self) -> _Codec:
-        if isinstance(self.kind, type) and issubclass(self.kind, enum.Enum):
-            return _Codec(functools.partial(_parse_enum, self.kind), lambda member: member.value)
-        return _CODECS[self.kind]
+    parse: typing.Callable[[str, str], typing.Any]
+    format: typing.Callable[[typing.Any], str]
 
     def get(self, cfg: ExperimentConfig):
         return getattr(cfg.physics if self.section == "physics" else cfg, self.name)
@@ -176,8 +165,13 @@ def _rows(cls, section: str | None = None):
         if dataclasses.is_dataclass(kind):
             yield from _rows(kind, field.name)
             continue
+        if isinstance(kind, type) and issubclass(kind, enum.Enum):
+            codec = (functools.partial(_parse_enum, kind), lambda member: member.value)
+        else:
+            codec = _CODECS[kind]
         home = "integration" if field.name in _INTEGRATION_FIELDS else "experiment"
-        yield _Row(section or home, _INI_KEYS.get(field.name, field.name), field.name, kind)
+        yield _Row(section or home, _INI_KEYS.get(field.name, field.name), field.name, kind,
+                   *codec)
 
 
 _SCHEMA = tuple(_rows(ExperimentConfig))
@@ -234,7 +228,7 @@ def build_config(values: dict, overrides: dict | None = None,
     for row in _SCHEMA:
         name = f"{row.section}.{row.key}"
         if name in values:
-            chosen[row.name] = row.codec.parse(values[name], f"config key {name}")
+            chosen[row.name] = row.parse(values[name], f"config key {name}")
         flag = overrides.get(row.key)
         if flag is not None and row.key != "seed":
             chosen[row.name] = flag
@@ -252,7 +246,7 @@ def build_config(values: dict, overrides: dict | None = None,
 def emit_config(cfg: ExperimentConfig) -> str:
     """Render a config as INI text; parsing it back reproduces the config."""
     return "\n".join(
-        f"[{section}]\n" + "".join(f"{row.key} = {row.codec.format(row.get(cfg))}\n"
+        f"[{section}]\n" + "".join(f"{row.key} = {row.format(row.get(cfg))}\n"
                                    for row in _SCHEMA if row.section == section)
         for section in _SECTIONS)
 
@@ -477,9 +471,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     ]
     with _run_files(args.out, "table1", None, {"seed_source": seed_source}, started,
                     {"seed": seed, "rows": runs, "counters": {
-                        "systems": sum(rows[0].systems for rows in all_rows)}}) as (stage, _):
+                        "systems": sum(rows[0].systems for rows in all_rows)}}) as (stage, files):
         _write_json(stage("table1.json"), table_doc)
-    print(f"wrote table1.json, manifest.json in {args.out}")
+    print(f"wrote {', '.join(files)} in {args.out}")
     return 0
 
 
@@ -495,43 +489,23 @@ def _cmd_kick_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_spring_step(params: HookeParams, mode: SpringMode, duration: float) -> float:
-    """tau/8 for a retarded delay when its grid passes, else period/2000.
-
-    When neither grid passes, the first one's error is raised.
-    """
-    steps = [params.period / 2000.0]
-    if mode is SpringMode.RETARDED and params.delay > 0.0:
-        steps.insert(0, params.delay / 8.0)
-    errors = []
-    for dt in steps:
-        try:
-            spring_grid(params, mode, duration, dt)
-            return dt
-        except ConfigError as err:
-            errors.append(err)
-    raise errors[0]
-
-
 def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     started = _utc_now()
     params = HookeParams(delay=args.tau)
     duration = args.periods * params.period
     modes = list(SpringMode) if args.coupling == "all" else [SpringMode(args.coupling)]
     # every grid is checked before anything is written or run
-    steps = {mode: _default_spring_step(params, mode, duration) if args.dt is None else args.dt
-             for mode in modes}
-    n_steps = {m.value: spring_grid(params, m, duration, dt).n_steps for m, dt in steps.items()}
-
-    with _run_files(args.out, "hooke-demo", None,
-                    {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
-                     "dt": {m.value: dt for m, dt in steps.items()}}, started,
+    grids = {mode: spring_grid(params, mode, duration, args.dt) for mode in modes}
+    provenance = {"tau": args.tau, "periods": args.periods, "coupling": args.coupling,
+                  "dt": {m.value: grid.dt for m, grid in grids.items()}}
+    n_steps = {m.value: grid.n_steps for m, grid in grids.items()}
+    with _run_files(args.out, "hooke-demo", None, provenance, started,
                     {"counters": {"steps": n_steps}}) as (stage, files):
-        runs = {mode: (dt, stage(f"hooke_{mode.value}.csv")) for mode, dt in steps.items()}
+        runs = {mode: (grid.dt, stage(f"hooke_{mode.value}.csv")) for mode, grid in grids.items()}
         for mode, ends in write_spring_csvs(params, duration, runs):
             e_0, e_end = spring_energy(params, ends)
             drift = abs(float(e_end - e_0)) / abs(float(e_0))
-            print(f"{mode.value:<14} dt = {steps[mode]:.3g}  x1(T) = {ends.x1[-1]:+.6f}  "
+            print(f"{mode.value:<14} dt = {grids[mode].dt:.3g}  x1(T) = {ends.x1[-1]:+.6f}  "
                   f"x2(T) = {ends.x2[-1]:+.6f}  energy drift = {drift:.3e}")
     print(f"wrote {', '.join(files)} in {args.out}")
     return 0

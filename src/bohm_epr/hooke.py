@@ -123,8 +123,22 @@ class SpringTrajectory:
 
 
 def spring_grid(params: HookeParams, mode: SpringMode, duration: float,
-                dt: float) -> IntegrationConfig:
-    """The step grid of one run, checked: a retarded delay first, then the step rule."""
+                dt: float | None = None) -> IntegrationConfig:
+    """The step grid of one run, checked: a retarded delay first, then the step rule.
+
+    With no ``dt`` the step is tau/8 for a retarded delay when that grid
+    passes, else period/2000; when neither passes, the first refusal is raised.
+    """
+    if dt is None:
+        fallback = params.period / 2000.0
+        if mode is SpringMode.RETARDED and params.delay > 0.0:
+            try:
+                return spring_grid(params, mode, duration, params.delay / 8.0)
+            except ConfigError as err:
+                with contextlib.suppress(ConfigError):
+                    return spring_grid(params, mode, duration, fallback)
+                raise err
+        return spring_grid(params, mode, duration, fallback)
     if mode is SpringMode.RETARDED and params.delay > 0.0 and dt > params.delay / 4.0:
         raise ConfigError(f"retarded coupling needs dt <= delay/4 "
                           f"({params.delay / 4.0:.6g}), got dt = {dt:.6g}")

@@ -613,6 +613,19 @@ def test_every_manifest_names_its_environment(tmp_path, argv):
     assert env["platform"].startswith(f"{platform.system()}-{platform.release()}-")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-epr", "--pairs", "8", "--events"],
+    ["table1", "--pairs", "40"],
+    ["hooke-demo", "--periods", "1"],
+])
+def test_each_wrote_line_names_the_files_of_its_manifest(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote {', '.join(manifest['files'])} in {out}"
+
+
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     ini = tmp_path / "latin1.ini"
     ini.write_bytes("[experiment]\n# caf\u00e9\nn_pairs = 8\n".encode("latin-1"))
@@ -973,6 +986,57 @@ def test_golden_trajectories(name, tmp_path):
                 last.setdefault(pair_id, {})[view] = (z_l, z_r)
         assert any(views["A"] != views["B"] for views in last.values())
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# prints the SIMD target of float64 sinh, one of the guidance kernel's ufuncs, then
+# runs the command line on the rest of argv
+_TARGET_THEN_MAIN = """import sys
+from numpy.lib.introspect import opt_func_info
+from bohm_epr.cli import main
+[loop] = opt_func_info(func_name="^sinh$", signature="float64")["sinh"].values()
+print(loop["current"], flush=True)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_outputs_do_not_change_with_the_simd_target(tmp_path):
+    # numpy picks exp, sinh and cosh loops by the CPU's SIMD target, and
+    # their last bits may differ; reports, events and the table must not
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip("numpy.lib.introspect.opt_func_info needs numpy >= 2.0")
+    from numpy.lib.introspect import opt_func_info
+    [loop] = opt_func_info(func_name="^sinh$", signature="float64")["sinh"].values()
+    target = loop["current"]
+    if target.startswith("baseline"):
+        pytest.skip(f"float64 sinh already runs at {target}; there is no second target")
+    src = pathlib.Path(experiment_mod.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=target)
+    runs = {"table1": ["table1", "--pairs", "200", "--seed", "0"],
+            "run-epr": ["run-epr", "--pairs", "200", "--seed", "0", "--mode", "local",
+                        "--events"]}
+    children = {name: subprocess.Popen(
+                    [sys.executable, "-c", _TARGET_THEN_MAIN, *argv,
+                     "--out", str(tmp_path / "child" / name)],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                for name, argv in runs.items()}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / "here" / name)]) == 0
+    targets = set()
+    for child in children.values():
+        stdout, stderr = child.communicate()
+        assert child.returncode == 0, stderr
+        targets.add(stdout.splitlines()[0])
+    if target in targets:
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES={target} left float64 sinh at {target}")
+
+    def outputs(side):
+        run = tmp_path / side
+        report = json.loads((run / "run-epr" / "report.json").read_text())
+        del report["runtime_s"]
+        return (report, (run / "run-epr" / "events.csv").read_bytes(),
+                (run / "table1" / "table1.json").read_bytes())
+
+    assert outputs("child") == outputs("here")
 
 
 def test_oversized_dump_is_refused_before_transport(tmp_path, capsys, monkeypatch):

@@ -74,6 +74,18 @@ def test_grid_validation():
     with pytest.raises(ConfigError, match="more than 10000000 steps"):
         simulate_spring(HookeParams(delay=1.0e-300), SpringMode.RETARDED,
                         duration=1.0, dt=1.0e-301)
+    # with no dt the grid picks tau/8 for a retarded delay, else period/2000
+    delayed = HookeParams(delay=0.05)
+    assert hooke.spring_grid(delayed, SpringMode.RETARDED, delayed.period).dt == 0.05 / 8.0
+    for mode in (SpringMode.INSTANTANEOUS, SpringMode.EXPANDED, SpringMode.CENTER_OF_MASS):
+        assert hooke.spring_grid(delayed, mode, delayed.period).dt == delayed.period / 2000.0
+    # tau/8 gives fewer than 10 steps over one period, so the period's step is taken
+    slow = HookeParams(delay=1.0e10)
+    grid = hooke.spring_grid(slow, SpringMode.RETARDED, slow.period)
+    assert (grid.dt, grid.n_steps) == (slow.period / 2000.0, 2000)
+    # period/2000 breaks dt <= tau/4, so tau/8's refusal is the one raised
+    with pytest.raises(ConfigError, match="more than 10000000 steps"):
+        hooke.spring_grid(HookeParams(delay=1.0e-300), SpringMode.RETARDED, PERIOD)
 
 
 def test_instantaneous_matches_closed_form():

@@ -42,6 +42,20 @@ couplings share one grid while the expanded one diverges, so its stdout
 keeps the lines of the couplings before it; each of them exits 3. For
 every operation the script also digests whether its output directory
 exists afterwards.
+
+numpy picks the loops of ufuncs such as ``exp``, ``sinh`` and ``cosh``
+by the CPU's SIMD target, and their last bits may differ between loops.
+numpy reads ``NPY_DISABLE_CPU_FEATURES`` when it is imported, so one
+``diff`` shows whether the outputs hold with those targets off:
+
+    python3 tools/output_digests.py > native.json
+    NPY_DISABLE_CPU_FEATURES=X86_V3 python3 tools/output_digests.py > baseline.json
+    diff native.json baseline.json
+
+numpy ignores a name it does not know, so when the variable is set the
+script prints the target float64 ``sinh`` ran at to stderr.
+``python3 -c "import numpy; numpy.show_runtime()"`` lists the targets the
+CPU offers.
 """
 
 from __future__ import annotations
@@ -164,6 +178,10 @@ def main() -> int:
                    help="source tree to run (default: this checkout)")
     p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS, metavar="SEED")
     args = p.parse_args()
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        from numpy.lib.introspect import opt_func_info
+        [loop] = opt_func_info(func_name="^sinh$", signature="float64")["sinh"].values()
+        print(f"float64 sinh runs at {loop['current']}", file=sys.stderr)
     json.dump(digests(os.path.abspath(args.root), args.seeds), sys.stdout, indent=1)
     print()
     return 0
