@@ -501,8 +501,8 @@ def _cmd_hooke_demo(args: argparse.Namespace) -> int:
     n_steps = {m.value: grid.n_steps for m, grid in grids.items()}
     with _run_files(args.out, "hooke-demo", None, provenance, started,
                     {"counters": {"steps": n_steps}}) as (stage, files):
-        runs = {mode: (grid.dt, stage(f"hooke_{mode.value}.csv")) for mode, grid in grids.items()}
-        for mode, ends in write_spring_csvs(params, duration, runs):
+        runs = {mode: (grid, stage(f"hooke_{mode.value}.csv")) for mode, grid in grids.items()}
+        for mode, ends in write_spring_csvs(params, runs):
             e_0, e_end = spring_energy(params, ends)
             drift = abs(float(e_end - e_0)) / abs(float(e_0))
             print(f"{mode.value:<14} dt = {grids[mode].dt:.3g}  x1(T) = {ends.x1[-1]:+.6f}  "

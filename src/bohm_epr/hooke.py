@@ -37,9 +37,9 @@ run. A trajectory's columns are views of its one row array, so holding
 any keeps the run.
 
 ``spring_grid`` states the grid rule once: the delay rule above, then
-``integrate.IntegrationConfig``, the step rule transport uses. So a grid
-is checked before any buffer is allocated, and a caller can check every
-grid before it runs any of them.
+``integrate.IntegrationConfig``, the step rule transport uses. A caller
+checks every grid before it runs any, and ``spring_blocks`` runs the one
+it is handed, so no buffer is allocated for a grid that is refused.
 """
 
 from __future__ import annotations
@@ -226,12 +226,13 @@ def _check_rows(rows: np.ndarray, first: int) -> None:
         raise IntegrationDiverged(step=first + int(np.argmin(np.isfinite(rows).all(axis=1))))
 
 
-def spring_blocks(params: HookeParams, mode: SpringMode, duration: float, dt: float,
+def spring_blocks(params: HookeParams, mode: SpringMode, grid: IntegrationConfig,
                   rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield the rows (x1, v1, x2, v2) of one run: row 0, then rows 1-256, 257-512, ...
 
-    Each block of ``_BLOCK`` rows is computed from the last row before it.
-    A coupling that reads no history applies T^1 ... T^_BLOCK of RK4's
+    ``grid`` is the run's checked ``spring_grid``, read for n and dt. Each
+    block of ``_BLOCK`` rows is computed from the last row before it. A
+    coupling that reads no history applies T^1 ... T^_BLOCK of RK4's
     one-step map (see ``_step_map``) to that row; the products are einsum,
     not matmul, which would start BLAS and add about 0.25 MiB to the peak
     resident set. The retarded coupling with a delay steps one row at a
@@ -242,7 +243,7 @@ def spring_blocks(params: HookeParams, mode: SpringMode, duration: float, dt: fl
     before it is yielded: a non-finite row raises ``IntegrationDiverged``
     naming it.
     """
-    n = spring_grid(params, mode, duration, dt).n_steps
+    n, dt = grid.n_steps, grid.dt
     start = (params.x1_0, params.v1_0, params.x2_0, params.v2_0)
     if mode is SpringMode.RETARDED and params.delay > 0.0:
         rows = np.empty((n + 1, 4)) if rows is None else rows
@@ -281,9 +282,10 @@ def simulate_spring(params: HookeParams, mode: SpringMode, duration: float,
     Row i holds (x1, v1, x2, v2) at step i, filled from ``spring_blocks``.
     A non-finite row raises ``IntegrationDiverged`` naming it.
     """
-    rows = np.empty((spring_grid(params, mode, duration, dt).n_steps + 1, 4))
+    grid = spring_grid(params, mode, duration, dt)
+    rows = np.empty((grid.n_steps + 1, 4))
     at = 0
-    for block in spring_blocks(params, mode, duration, dt, rows):
+    for block in spring_blocks(params, mode, grid, rows):
         rows[at:at + len(block)] = block  # the retarded blocks are already in place
         at += len(block)
     # a float arange scaled in place holds no int64 index array beside the result
@@ -319,26 +321,26 @@ def write_spring_csv(traj: SpringTrajectory, path) -> None:
                                 traj.x1[part].tolist(), traj.x2[part].tolist()))
 
 
-def write_spring_csvs(params: HookeParams, duration: float,
-                      runs: dict[SpringMode, tuple[float, object]]
+def write_spring_csvs(params: HookeParams, runs: dict[SpringMode, tuple[IntegrationConfig, object]]
                       ) -> Iterator[tuple[SpringMode, SpringTrajectory]]:
-    """Run each coupling of ``runs`` ({mode: (dt, path)}) and write its CSV.
+    """Run each coupling of ``runs`` ({mode: (grid, path)}) and write its CSV.
 
-    Everything runs on the first ``next``. Couplings that share a dt take
-    a block of ``spring_blocks`` each per pass of one loop, and each
-    block's lines go to the files as ``write_spring_csv`` would write them,
-    so a block's t column is formatted once for all and no history-free
-    run is held. A coupling leaves the loop when its blocks end, keeping
-    rows 0 and n as a two-row trajectory, or diverge, keeping its
-    ``IntegrationDiverged`` until its turn: couplings are yielded in
-    ``runs`` order, and the first that diverged raises instead.
+    Each grid is its coupling's checked ``spring_grid``. Everything runs
+    on the first ``next``. Couplings that share a grid take a block of
+    ``spring_blocks`` each per pass of one loop, and each block's lines go
+    to the files as ``write_spring_csv`` would write them, so a block's t
+    column is formatted once for all and no history-free run is held. A
+    coupling leaves the loop when its blocks end, keeping rows 0 and n as
+    a two-row trajectory, or diverge, keeping its ``IntegrationDiverged``
+    until its turn: couplings are yielded in ``runs`` order, and the first
+    that diverged raises instead.
     """
     ends: dict[SpringMode, SpringTrajectory | IntegrationDiverged] = {}
-    for dt in dict.fromkeys(dt for dt, _ in runs.values()):
+    for grid in dict.fromkeys(grid for grid, _ in runs.values()):
         with contextlib.ExitStack() as stack:
-            live = {mode: (spring_blocks(params, mode, duration, dt),
+            live = {mode: (spring_blocks(params, mode, grid),
                            stack.enter_context(open(path, "w", encoding="utf-8")))
-                    for mode, (step, path) in runs.items() if step == dt}
+                    for mode, (own, path) in runs.items() if own == grid}
             for _, fh in live.values():
                 _emit(fh, _HEADER)
             kept = {}   # mode -> (its first row, its last row written)
@@ -349,12 +351,12 @@ def write_spring_csvs(params: HookeParams, duration: float,
                     try:
                         block = next(blocks)
                     except StopIteration:
-                        ends[mode] = SpringTrajectory(np.array([0.0, (at - 1) * dt]),
+                        ends[mode] = SpringTrajectory(np.array([0.0, (at - 1) * grid.dt]),
                                                       *np.stack(kept[mode]).T)
                     except IntegrationDiverged as err:
                         ends[mode] = err
                     else:
-                        stamps = stamps or [f"{i * dt!r}," for i in range(at, at + len(block))]
+                        stamps = stamps or [f"{i * grid.dt!r}," for i in range(at, at + len(block))]
                         _emit(fh, _csv_lines(stamps, block[:, 0].tolist(), block[:, 2].tolist()))
                         kept[mode] = (kept.get(mode, block)[0], block[-1])
                 at += len(stamps)

@@ -223,19 +223,17 @@ def integrate_batch(z_l0: np.ndarray, z_r0: np.ndarray, s2: np.ndarray, c2: np.n
     """
     z, weights = _batch(z_l0, z_r0, s2, c2)
     rhs = _guidance(weights, coeff)
-    n_steps, every = cfg.n_steps, cfg.record_every
-    if every:
-        # each recorded step is written once, into the result
-        track = np.empty((2, len(cfg.recorded_steps()), z.shape[1]))
-        track[:, 0] = z
-        k = 1
-    for i in range(n_steps):
-        (z,) = rk4_step(rhs, i, cfg.dt, [z])
-        _check_finite(i + 1, z)
-        if every and ((i + 1) % every == 0 or i + 1 == n_steps):
-            track[:, k] = z
-            k += 1
-    return (track[0], track[1]) if every else (z[0], z[1])
+    steps = cfg.recorded_steps()
+    # each recorded step is written once, into the result
+    track = np.empty((2, len(steps), z.shape[1]))
+    done = 0
+    for k, step in enumerate(steps):
+        for i in range(done, step):
+            (z,) = rk4_step(rhs, i, cfg.dt, [z])
+            _check_finite(i + 1, z)
+        track[:, k] = z
+        done = step
+    return (track[0], track[1]) if cfg.record_every else (track[0, 0], track[1, 0])
 
 
 def _branch_tail(t: float, t_end: float, z: np.ndarray, r: np.ndarray,

@@ -1039,6 +1039,43 @@ def test_outputs_do_not_change_with_the_simd_target(tmp_path):
     assert outputs("child") == outputs("here")
 
 
+def test_a_dump_moves_by_roundoff_alone_with_the_simd_target(tmp_path):
+    # the recorded positions are the one output whose bits follow the sinh
+    # loop; its columns, exit signs and 12 digits of each position must not
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip("numpy.lib.introspect.opt_func_info needs numpy >= 2.0")
+    from numpy.lib.introspect import opt_func_info
+    [loop] = opt_func_info(func_name="^sinh$", signature="float64")["sinh"].values()
+    target = loop["current"]
+    if target.startswith("baseline"):
+        pytest.skip(f"float64 sinh already runs at {target}; there is no second target")
+    src = pathlib.Path(experiment_mod.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=target)
+    argv = ["dump-trajectories", "--pairs", "4", "--seed", "0", "--mode", "local",
+            "--record-every", "300"]
+    child = subprocess.Popen([sys.executable, "-c", _TARGET_THEN_MAIN, *argv,
+                              "--out", str(tmp_path / "child")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+    stdout, stderr = child.communicate()
+    assert child.returncode == 0, stderr
+    if stdout.splitlines()[0] == target:
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES={target} left float64 sinh at {target}")
+
+    def columns(side):
+        lines = (tmp_path / side / "trajectories.csv").read_text().splitlines()
+        assert lines[0] == "pair_id,view,step,t,z_L,z_R"
+        rows = [line.split(",") for line in lines[1:]]
+        return [row[:4] for row in rows], np.array([row[4:] for row in rows], dtype=float)
+
+    (keys, here), (child_keys, there) = columns("here"), columns("child")
+    assert child_keys == keys
+    last = [k for k, key in enumerate(keys) if key[2] == keys[-1][2]]
+    assert len(last) >= 4
+    assert np.array_equal(np.sign(there[last]), np.sign(here[last]))
+    assert np.allclose(there, here, rtol=1.0e-12, atol=0.0)
+
+
 def test_oversized_dump_is_refused_before_transport(tmp_path, capsys, monkeypatch):
     # a kernel that raises stops any dump that gets past the refusal at
     # its first call, so the oversized case never runs for real

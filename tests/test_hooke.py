@@ -12,6 +12,7 @@ import pytest
 from bohm_epr import (
     ConfigError,
     HookeParams,
+    IntegrationConfig,
     IntegrationDiverged,
     SpringMode,
     center_of_mass_spring,
@@ -271,10 +272,28 @@ def test_joint_run_reports_the_first_coupling_in_order_to_diverge(tmp_path):
     assert steps == {SpringMode.INSTANTANEOUS: 549, SpringMode.EXPANDED: 32}
     for order in ([SpringMode.INSTANTANEOUS, SpringMode.EXPANDED],
                   [SpringMode.EXPANDED, SpringMode.INSTANTANEOUS]):
-        runs = {mode: (0.01, tmp_path / mode.value) for mode in order}
+        runs = {mode: (hooke.spring_grid(p, mode, 200.0, 0.01), tmp_path / mode.value)
+                for mode in order}
         with pytest.raises(IntegrationDiverged) as err:
-            list(write_spring_csvs(p, 200.0, runs))
+            list(write_spring_csvs(p, runs))
         assert err.value.step == steps[order[0]]
+
+
+def test_each_run_builds_its_grid_once(tmp_path, monkeypatch):
+    # hooke-demo checks one grid per coupling and runs the grids it checked
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return IntegrationConfig(*args, **kwargs)
+
+    monkeypatch.setattr(hooke, "IntegrationConfig", counting)
+    assert main(["hooke-demo", "--coupling", "all", "--dt", "0.001", "--periods", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 4
+    built.clear()
+    simulate_spring(HookeParams(delay=0.05), SpringMode.RETARDED, *default_grid(periods=1.0))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode, delay", [(SpringMode.INSTANTANEOUS, 0.0),

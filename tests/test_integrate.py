@@ -19,7 +19,9 @@ from bohm_epr import (
     sample_initial,
     sign_outcome,
 )
+from bohm_epr.integrate import rk4_step
 from bohm_epr.physconst import HBAR
+from bohm_epr.velocity import BatchWeights, guidance_velocity
 
 CO = derive_coefficients(SILVER)
 SPREAD_FACTOR_REF = 1.0000389019280121  # sqrt(1 + (spread_rate * 3 ms)^2), silver
@@ -248,6 +250,24 @@ def test_batch_recording_matches_unrecorded_exit():
     short = IntegrationConfig(dt=1.0e-6, duration=1.4e-4)
     mid_l, mid_r = integrate_batch(z_l0, z_r0, s2, 1.0 - s2, CO, short)
     assert np.array_equal(track_l[2], mid_l) and np.array_equal(track_r[2], mid_r)
+
+
+def test_batch_records_the_recorded_steps_of_a_per_step_loop():
+    # 300 steps recorded every 70th: the exit is not on the cadence
+    rng = np.random.default_rng(47)
+    n = 4
+    z = rng.normal(0.0, 1.0e-3, size=(2, n))
+    s2 = rng.uniform(0.0, 1.0, size=n)
+    cfg = IntegrationConfig(dt=1.0e-6, duration=3.0e-4, record_every=70)
+    assert cfg.n_steps % cfg.record_every != 0
+    weights = BatchWeights(s2, 1.0 - s2)
+    every_step = [z]
+    for i in range(cfg.n_steps):
+        (z,) = rk4_step(lambda t, y: [guidance_velocity(t, y[0], weights, CO)], i, cfg.dt, [z])
+        every_step.append(z)
+    want = np.stack([every_step[step] for step in cfg.recorded_steps()], axis=1)
+    track_l, track_r = integrate_batch(*every_step[0], s2, 1.0 - s2, CO, cfg)
+    assert np.array_equal(track_l, want[0]) and np.array_equal(track_r, want[1])
 
 
 def test_batch_is_deterministic_and_chunkable(monkeypatch):
